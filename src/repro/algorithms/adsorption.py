@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..graph.csr import CSRGraph
-from .base import SumAlgorithm
-from .linear import DepFunc
+from .base import SumAlgorithm, out_degree_share
+from .linear import DepFunc, dep_arrays
 
 
 class Adsorption(SumAlgorithm):
@@ -51,3 +51,8 @@ class Adsorption(SumAlgorithm):
 
     def edge_linear(self, source: int, weight: float, graph: CSRGraph) -> DepFunc:
         return DepFunc(self._probability(source, graph), 0.0)
+
+    def edge_linear_arrays(self, sources, weights, graph: CSRGraph):
+        return dep_arrays(
+            len(sources), out_degree_share(self.continuation, sources, graph)
+        )

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from ..graph.csr import CSRGraph
 from .linear import DepFunc
@@ -30,6 +32,18 @@ INF = math.inf
 #: default activation threshold for sum-type algorithms (Section II uses
 #: epsilon = 1e-5 for pagerank).
 DEFAULT_EPSILON = 1e-5
+
+
+def out_degree_share(
+    factor: float, sources: np.ndarray, graph: CSRGraph
+) -> np.ndarray:
+    """``factor / out_degree(v)`` per source (0.0 for a sink) — the
+    array form of the per-edge probability PageRank and adsorption
+    spread over a vertex's out-edges."""
+    degrees = graph.out_degrees()[sources].astype(np.float64)
+    return np.divide(
+        factor, degrees, out=np.zeros(degrees.size), where=degrees > 0
+    )
 
 
 class Algorithm(ABC):
@@ -42,6 +56,14 @@ class Algorithm(ABC):
     #: whether EdgeCompute satisfies Property 2 (linearity) so the hub-index
     #: dependency transformation may be applied.
     transformable: bool = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a new scalar edge_linear without its own array form gets the
+        # exact loop fallback, never an inherited array form that would
+        # compute some other class's coefficients
+        if "edge_linear" in vars(cls) and "edge_linear_arrays" not in vars(cls):
+            cls.edge_linear_arrays = Algorithm.edge_linear_arrays
 
     # ------------------------------------------------------------------
     # The generalized sum (Accum) and its identity.
@@ -88,6 +110,32 @@ class Algorithm(ABC):
         """The linear coefficients of :meth:`edge_compute` for this edge, or
         None when the algorithm is not transformable."""
         return None
+
+    def edge_linear_arrays(
+        self, sources: np.ndarray, weights: np.ndarray, graph: CSRGraph
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`edge_linear` elementwise: float64 ``(mu, xi, cap)``
+        arrays whose entry ``i`` equals
+        ``edge_linear(sources[i], weights[i], graph)`` bit for bit.
+
+        This fallback makes one Python :meth:`edge_linear` call per
+        entry; the stock transformable algorithms override it with NumPy
+        so the vector backend's set-up makes none.  Raises
+        ``ValueError`` when an entry has no linear form.
+        """
+        mu, xi, cap = (np.empty(len(sources)) for _ in range(3))
+        pairs = zip(
+            np.asarray(sources).tolist(),
+            np.asarray(weights, dtype=np.float64).tolist(),
+        )
+        for i, (source, weight) in enumerate(pairs):
+            func = self.edge_linear(source, weight, graph)
+            if func is None:
+                raise ValueError(
+                    f"{self.name}: edge_linear returned None for source {source}"
+                )
+            mu[i], xi[i], cap[i] = func.mu, func.xi, func.cap
+        return mu, xi, cap
 
     # ------------------------------------------------------------------
     # Apply & activation.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..graph.csr import CSRGraph
 from .base import INF, MaxAlgorithm, SumAlgorithm
-from .linear import DepFunc
+from .linear import DepFunc, dep_arrays
 
 
 class SSWP(MaxAlgorithm):
@@ -42,6 +42,9 @@ class SSWP(MaxAlgorithm):
     def edge_linear(self, source: int, weight: float, graph: CSRGraph) -> DepFunc:
         return DepFunc(1.0, 0.0, cap=weight)
 
+    def edge_linear_arrays(self, sources, weights, graph: CSRGraph):
+        return dep_arrays(len(sources), 1.0, 0.0, weights)
+
 
 class KatzCentrality(SumAlgorithm):
     """Katz metric: influence decays by ``attenuation`` per hop."""
@@ -67,6 +70,9 @@ class KatzCentrality(SumAlgorithm):
 
     def edge_linear(self, source: int, weight: float, graph: CSRGraph) -> DepFunc:
         return DepFunc(self.attenuation, 0.0)
+
+    def edge_linear_arrays(self, sources, weights, graph: CSRGraph):
+        return dep_arrays(len(sources), self.attenuation)
 
 
 class KCore(SumAlgorithm):

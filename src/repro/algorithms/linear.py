@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
 
 INF = math.inf
 
@@ -56,6 +59,12 @@ class DepFunc:
 
 
 IDENTITY = DepFunc(1.0, 0.0)
+
+
+def dep_arrays(size: int, mu, xi=0.0, cap=INF) -> Tuple[np.ndarray, ...]:
+    """The array form of ``DepFunc(mu, xi, cap)``: three float64 arrays
+    of length ``size``, each part a scalar or a length-``size`` array."""
+    return tuple(np.full(size, part, dtype=np.float64) for part in (mu, xi, cap))
 
 
 def compose_path(funcs) -> DepFunc:

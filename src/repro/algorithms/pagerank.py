@@ -10,8 +10,8 @@ convergence ``state[v]`` equals the (unnormalised) PageRank
 from __future__ import annotations
 
 from ..graph.csr import CSRGraph
-from .base import SumAlgorithm
-from .linear import DepFunc
+from .base import SumAlgorithm, out_degree_share
+from .linear import DepFunc, dep_arrays
 
 
 class IncrementalPageRank(SumAlgorithm):
@@ -42,3 +42,8 @@ class IncrementalPageRank(SumAlgorithm):
         degree = graph.out_degree(source)
         mu = self.damping / degree if degree else 0.0
         return DepFunc(mu, 0.0)
+
+    def edge_linear_arrays(self, sources, weights, graph: CSRGraph):
+        return dep_arrays(
+            len(sources), out_degree_share(self.damping, sources, graph)
+        )

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from ..graph.csr import CSRGraph
 from .base import INF, MinAlgorithm
-from .linear import DepFunc
+from .linear import DepFunc, dep_arrays
 
 
 class SSSP(MinAlgorithm):
@@ -32,6 +32,9 @@ class SSSP(MinAlgorithm):
 
     def edge_linear(self, source: int, weight: float, graph: CSRGraph) -> DepFunc:
         return DepFunc(1.0, weight)
+
+    def edge_linear_arrays(self, sources, weights, graph: CSRGraph):
+        return dep_arrays(len(sources), 1.0, weights)
 
 
 class BFS(MinAlgorithm):
@@ -59,3 +62,6 @@ class BFS(MinAlgorithm):
 
     def edge_linear(self, source: int, weight: float, graph: CSRGraph) -> DepFunc:
         return DepFunc(1.0, 1.0)
+
+    def edge_linear_arrays(self, sources, weights, graph: CSRGraph):
+        return dep_arrays(len(sources), 1.0, 1.0)

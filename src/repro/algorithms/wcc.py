@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..graph.csr import CSRGraph
 from .base import MaxAlgorithm
-from .linear import DepFunc
+from .linear import DepFunc, dep_arrays
 
 
 class WCC(MaxAlgorithm):
@@ -36,3 +36,6 @@ class WCC(MaxAlgorithm):
 
     def edge_linear(self, source: int, weight: float, graph: CSRGraph) -> DepFunc:
         return DepFunc(1.0, 0.0)
+
+    def edge_linear_arrays(self, sources, weights, graph: CSRGraph):
+        return dep_arrays(len(sources), 1.0)

@@ -328,6 +328,11 @@ class ReorderedAlgorithm:
             self._old(source), weight, self._orig_graph()
         )
 
+    def edge_linear_arrays(self, sources, weights, graph: CSRGraph):
+        return self._inner.edge_linear_arrays(
+            self._ordering.ids_to_original(sources), weights, self._orig_graph()
+        )
+
     def propagate_value(
         self, v: int, old_state: float, new_state: float, graph: CSRGraph
     ) -> float:

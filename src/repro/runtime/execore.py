@@ -231,9 +231,7 @@ class ExecutionKernel:
             graph, algorithm, hardware, system, simd, tracer=tracer
         )
         ctx = self.ctx
-        self.estimator = CostEstimator(
-            [int(d) for d in ctx.graph.out_degrees()]
-        )
+        self.estimator = CostEstimator(ctx.graph.out_degrees().tolist())
         self.ranker = VictimRanker(
             ctx.num_cores,
             MeshNoC(

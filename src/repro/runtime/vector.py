@@ -13,10 +13,15 @@ as array operations instead:
   (``np.repeat`` over degree counts) and folds the per-edge influences
   into the pending array with segment reductions
   (:func:`segment_sum` / :func:`segment_min` / :func:`segment_max`);
+  a round whose scattering sources cover at least half the edges skips
+  the slice gather and scatters over the whole ``targets`` array, the
+  other sources' edges carrying the accumulator's identity;
 * per-edge influence comes from the algorithm's *linear* form
-  (:meth:`repro.algorithms.base.Algorithm.edge_linear` — the same
-  ``f(s) = min(mu*s + xi, cap)`` algebra the hub index stores), probed
-  once per edge at set-up so the round's edge math is three ufuncs;
+  (:meth:`repro.algorithms.base.Algorithm.edge_linear_arrays` — the same
+  ``f(s) = min(mu*s + xi, cap)`` algebra the hub index stores), built by
+  one array call at set-up: per source on unweighted graphs, where each
+  round evaluates it once per scattering source before expanding to
+  edges, and per edge on weighted graphs;
 * cycles are charged from **precomputed per-vertex cost vectors**
   (category-split compute/memory/overhead, flat
   :data:`repro.runtime.context.FAST_MEM_CYCLES` per modelled access)
@@ -70,6 +75,14 @@ VECTOR_SUM_TOLERANCE = 1e-3
 
 DEFAULT_MAX_ROUNDS = 4000
 
+#: a round whose scattering sources own at least this share of the edges
+#: scatters over the whole CSR instead of gathering their slices.  On a
+#: 2-vCPU x86 host one round broke even near 0.45 on the per-source
+#: program and between 0.4 and 0.7 on the per-edge one; op times barely
+#: moved between 0.3 and 0.7, since a round's share is mostly either
+#: small or close to 1
+_DENSE_SCATTER_SHARE = 0.5
+
 
 class VectorBackendError(ValueError):
     """The algorithm cannot run under the vector backend."""
@@ -111,11 +124,6 @@ def segment_max(
 # ----------------------------------------------------------------------
 # Backend support probing.
 # ----------------------------------------------------------------------
-_KIND_BASES = {
-    AccumKind.SUM: SumAlgorithm,
-    AccumKind.MIN_MAX: None,  # resolved to Min/Max below
-}
-
 #: the algorithm callbacks the bulk engine replaces with ufuncs; any
 #: override means per-item semantics the arrays would silently drop
 _VECTORED_METHODS = ("apply", "propagate_value", "is_significant", "accum")
@@ -244,71 +252,54 @@ class VectorEngine:
         self.kind = ctx.accum_kind
         inner = unwrap_algorithm(ctx.algorithm)
         self.epsilon = float(getattr(inner, "epsilon", 0.0))
+        # the accumulator as ufuncs: fold, segment reduction, and the
+        # min/max activation test (a pending value that beats the state)
+        if self.kind is AccumKind.SUM:
+            self._fold, self._segment, self._beats = np.add, segment_sum, None
+        elif isinstance(inner, MinAlgorithm):
+            self._fold, self._segment, self._beats = np.minimum, segment_min, np.less
+        else:
+            self._fold, self._segment, self._beats = np.maximum, segment_max, np.greater
         self._build_edge_program(g, ctx.algorithm)
         self._build_cost_vectors(hardware)
 
     # ------------------------------------------------------------------
     def _build_edge_program(self, graph, algorithm: Algorithm) -> None:
-        """Probe ``edge_linear`` into per-edge (mu, xi, cap) arrays.
+        """Build the linear edge program with one ``edge_linear_arrays`` call.
 
-        This is the set-up cost that buys ufunc-only rounds: Python
-        calls at set-up instead of one ``edge_compute`` call per edge
-        per round.  The reorder wrapper's ``edge_linear`` translates
-        ids, so probing through the (possibly wrapped) algorithm keeps
-        permuted runs exact.
+        This is the set-up that buys ufunc-only rounds: no Python call
+        per edge per round, and none per vertex at set-up for the stock
+        algorithms.  The reorder wrapper's ``edge_linear_arrays``
+        translates ids, so building through the (possibly wrapped)
+        algorithm keeps permuted runs exact.
 
-        Unweighted graphs take a per-*source* fast path: every out-edge
-        of ``v`` shares the probe arguments ``(v, 1.0)``, so one call
-        per non-isolated source plus an ``np.repeat`` produces exactly
-        the arrays the per-edge loop would — n calls instead of m,
-        which is what makes set-up tractable at the 10–100x scale
-        levels.  Weighted graphs keep the per-edge loop (mu/xi may
-        depend on the weight arbitrarily).
+        Unweighted graphs get a per-*source* program: every out-edge of
+        ``v`` shares the arguments ``(v, 1.0)``, so the call covers the
+        non-isolated sources and the coefficients are held per vertex.
+        Weighted graphs get a per-edge program (mu/xi/cap may depend on
+        the weight arbitrarily): the call covers every edge.
         """
-        m = graph.num_edges
-        edge_linear = algorithm.edge_linear
-        if graph.weights is None:
-            degrees = self.degrees
-            sources = np.nonzero(degrees)[0]
-            mu_s = np.empty(sources.size, dtype=np.float64)
-            xi_s = np.empty(sources.size, dtype=np.float64)
-            cap_s = np.empty(sources.size, dtype=np.float64)
-            for i, v in enumerate(sources):
-                func = edge_linear(int(v), 1.0, graph)
-                if func is None:
-                    raise VectorBackendError(
-                        f"backend='vector' cannot run {algorithm.name!r}: "
-                        f"edge_linear returned None for source {int(v)}"
-                    )
-                mu_s[i] = func.mu
-                xi_s[i] = func.xi
-                cap_s[i] = func.cap
-            counts = degrees[sources]
-            mu = np.repeat(mu_s, counts)
-            xi = np.repeat(xi_s, counts)
-            cap = np.repeat(cap_s, counts)
+        self.per_source = graph.weights is None
+        if self.per_source:
+            sources = np.nonzero(self.degrees)[0]
+            weights = np.ones(sources.size)
         else:
-            mu = np.empty(m, dtype=np.float64)
-            xi = np.empty(m, dtype=np.float64)
-            cap = np.empty(m, dtype=np.float64)
-            weights = graph.weights
-            for v in range(graph.num_vertices):
-                begin, end = graph.edge_range(v)
-                for e in range(begin, end):
-                    func = edge_linear(v, float(weights[e]), graph)
-                    if func is None:
-                        raise VectorBackendError(
-                            f"backend='vector' cannot run "
-                            f"{algorithm.name!r}: edge_linear returned "
-                            f"None for edge {v}->{int(graph.targets[e])}"
-                        )
-                    mu[e] = func.mu
-                    xi[e] = func.xi
-                    cap[e] = func.cap
-        self.edge_mu = mu
-        self.edge_xi = xi
-        self.edge_cap = cap
-        self.edge_capped = bool(np.isfinite(cap).any())
+            sources = np.repeat(np.arange(self.n), self.degrees)
+            weights = np.asarray(graph.weights, dtype=np.float64)
+        try:
+            program = algorithm.edge_linear_arrays(sources, weights, graph)
+        except ValueError as err:
+            raise VectorBackendError(
+                f"backend='vector' cannot run {algorithm.name!r}: {err}"
+            ) from err
+        self.capped = bool(np.isfinite(program[2]).any())
+        if self.per_source:
+            # indexed by vertex id; isolated vertices never scatter, so
+            # their zero entries are never read
+            per_vertex = np.zeros((3, self.n))
+            per_vertex[:, sources] = program
+            program = per_vertex
+        self.mu, self.xi, self.cap = program
 
     def _build_cost_vectors(self, hardware: HardwareConfig) -> None:
         """Per-vertex category costs, split apply vs scatter.
@@ -369,20 +360,38 @@ class VectorEngine:
     def _significant(
         self, pending: np.ndarray, states: np.ndarray
     ) -> np.ndarray:
-        if self.kind is AccumKind.SUM:
+        if self._beats is None:
             return np.abs(pending) > self.epsilon
-        if isinstance(unwrap_algorithm(self.ctx.algorithm), MinAlgorithm):
-            return pending < states
-        return pending > states
+        return self._beats(pending, states)
 
-    def _fold_pending(
-        self, pending: np.ndarray, contrib: np.ndarray
-    ) -> np.ndarray:
-        if self.kind is AccumKind.SUM:
-            return pending + contrib
-        if isinstance(unwrap_algorithm(self.ctx.algorithm), MinAlgorithm):
-            return np.minimum(pending, contrib)
-        return np.maximum(pending, contrib)
+    def _influence(self, src, values, counts, edges, dense) -> np.ndarray:
+        """Per-edge influence ``min(mu*value + xi, cap)`` of this round's
+        scattering sources ``src``.
+
+        A sparse round returns one entry per gathered edge (``edges``
+        indexes the CSR); a dense round returns one per CSR edge, the
+        edges of every other source holding the accumulator identity,
+        which leaves the segment reduction unchanged.
+        """
+        def expand(per_source, fill):
+            if not dense:
+                return np.repeat(per_source, counts)
+            per_vertex = np.full(self.n, fill)
+            per_vertex[src] = per_source
+            return np.repeat(per_vertex, self.degrees)
+
+        if self.per_source:
+            influence = self.mu[src] * values + self.xi[src]
+            if self.capped:
+                np.minimum(influence, self.cap[src], out=influence)
+            return expand(influence, self.ctx.identity)
+        influence = self.mu[edges] * expand(values, 0.0) + self.xi[edges]
+        if self.capped:
+            np.minimum(influence, self.cap[edges], out=influence)
+        if dense:
+            scattered = expand(np.ones(src.size, dtype=bool), False)
+            influence[~scattered] = self.ctx.identity
+        return influence
 
     # ------------------------------------------------------------------
     def _charge_round(
@@ -459,7 +468,7 @@ class VectorEngine:
             deltas = pending[idx]
             pending[idx] = identity
             old = states[idx]
-            new = self._fold_pending(old, deltas)
+            new = self._fold(old, deltas)
             states[idx] = new
             # sum propagates the applied increment, min/max the new state
             values = (new - old) if is_sum else new
@@ -478,26 +487,18 @@ class VectorEngine:
             if src.size:
                 counts = degrees[src]
                 total_edges = int(counts.sum())
-                # bulk CSR slice gather: edge index of every scattered edge
-                starts = offsets[src]
-                firsts = np.repeat(starts - np.insert(np.cumsum(counts), 0, 0)[:-1], counts)
-                edge_idx = np.arange(total_edges, dtype=np.int64) + firsts
-                tgt = targets[edge_idx]
-                influence = (
-                    self.edge_mu[edge_idx] * np.repeat(src_values, counts)
-                    + self.edge_xi[edge_idx]
-                )
-                if self.edge_capped:
-                    np.minimum(influence, self.edge_cap[edge_idx], out=influence)
-                if is_sum:
-                    contrib = segment_sum(influence, tgt, n)
-                elif isinstance(
-                    unwrap_algorithm(ctx.algorithm), MinAlgorithm
-                ):
-                    contrib = segment_min(influence, tgt, n)
+                dense = total_edges >= _DENSE_SCATTER_SHARE * targets.size
+                if dense:
+                    edges = slice(None)
+                    tgt = targets
                 else:
-                    contrib = segment_max(influence, tgt, n)
-                pending = self._fold_pending(pending, contrib)
+                    # bulk CSR slice gather: edge index of every scattered edge
+                    starts = offsets[src]
+                    firsts = np.repeat(starts - np.insert(np.cumsum(counts), 0, 0)[:-1], counts)
+                    edges = np.arange(total_edges, dtype=np.int64) + firsts
+                    tgt = targets[edges]
+                influence = self._influence(src, src_values, counts, edges, dense)
+                pending = self._fold(pending, self._segment(influence, tgt, n))
                 ctx.edge_ops += total_edges
                 edges_gathered += total_edges
 

@@ -36,13 +36,30 @@ from __future__ import annotations
 import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..service import ServeResponse
 from ..store import GraphDelta
 from .dispatch import ClusterService
 
 _MAX_BODY = 8 * 1024 * 1024
+
+#: how long a connection closed over a refused request keeps reading
+#: (and discarding) what the client still sends
+_LINGER_SECONDS = 2.0
+
+
+class _BadRequest(Exception):
+    """A request the front door refuses before routing it.
+
+    ``close`` is set when the request's framing is lost (an unread or
+    unsized body), so the connection cannot carry another request.
+    """
+
+    def __init__(self, status: str, message: str, close: bool) -> None:
+        super().__init__(message)
+        self.status = status
+        self.close = close
 
 
 def response_payload(response: ServeResponse) -> dict:
@@ -85,6 +102,8 @@ class ClusterHTTPServer:
         self._work = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
+        #: open connection handlers, cancelled by stop()
+        self._connections: Set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -115,6 +134,9 @@ class ClusterHTTPServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        for task in self._connections:
+            task.cancel()
+        await asyncio.gather(*self._connections, return_exceptions=True)
         self._pool.shutdown(wait=False)
 
     # ------------------------------------------------------------------
@@ -171,25 +193,33 @@ class ClusterHTTPServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, path, body = request
-                status, payload = await self._route(method, path, body)
+            close = False
+            while not close:
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as err:
+                    status, payload, close = err.status, {"error": str(err)}, err.close
+                else:
+                    if request is None:
+                        break
+                    status, payload = await self._route(*request)
                 data = (json.dumps(payload, sort_keys=True) + "\n").encode()
                 writer.write(
                     (
                         f"HTTP/1.1 {status}\r\n"
                         "Content-Type: application/json\r\n"
                         f"Content-Length: {len(data)}\r\n"
-                        "Connection: keep-alive\r\n"
+                        f"Connection: {'close' if close else 'keep-alive'}\r\n"
                         "\r\n"
                     ).encode()
                     + data
                 )
                 await writer.drain()
+            if close:
+                await self._linger(reader, writer)
         except (
             asyncio.IncompleteReadError,
             ConnectionResetError,
@@ -197,6 +227,7 @@ class ClusterHTTPServer:
         ):
             pass
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -204,10 +235,40 @@ class ClusterHTTPServer:
                 pass
 
     @staticmethod
+    async def _linger(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Half-close, then discard input until the client closes or
+        ``_LINGER_SECONDS`` pass.
+
+        Closing a socket with unread input makes the kernel send a
+        reset, and a client still uploading a refused body would lose
+        the error response with it (the lingering close of RFC 9112
+        section 9.6).
+        """
+        writer.write_eof()
+
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), _LINGER_SECONDS)
+        except asyncio.TimeoutError:
+            pass
+
+    @staticmethod
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str, dict]]:
-        """Parse one request; ``None`` on a cleanly closed connection."""
+        """Parse one request; ``None`` on a cleanly closed connection.
+
+        Raises :class:`_BadRequest` for a body the front door will not
+        take: 413 for one above ``_MAX_BODY`` (left unread, so the
+        connection closes), 400 for a negative or non-integer
+        ``Content-Length`` (closes too) and 400 for a body that is not a
+        JSON object (read in full, so the connection stays open).
+        """
         request_line = await reader.readline()
         if not request_line:
             return None
@@ -215,26 +276,40 @@ class ClusterHTTPServer:
         if len(parts) < 2:
             return None
         method, path = parts[0].upper(), parts[1]
-        content_length = 0
+        length_header = "0"
         while True:
             line = await reader.readline()
             if not line or line in (b"\r\n", b"\n"):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = 0
-        body: dict = {}
-        if 0 < content_length <= _MAX_BODY:
-            raw = await reader.readexactly(content_length)
-            try:
-                parsed = json.loads(raw.decode("utf-8"))
-                if isinstance(parsed, dict):
-                    body = parsed
-            except ValueError:
-                body = {}
+                length_header = value.strip()
+        if not (length_header.isascii() and length_header.isdigit()):
+            raise _BadRequest(
+                "400 Bad Request",
+                f"invalid Content-Length {length_header!r}",
+                close=True,
+            )
+        content_length = int(length_header)
+        if content_length > _MAX_BODY:
+            raise _BadRequest(
+                "413 Payload Too Large",
+                f"body of {content_length} bytes exceeds {_MAX_BODY}",
+                close=True,
+            )
+        if not content_length:
+            return method, path, {}
+        raw = await reader.readexactly(content_length)
+        try:
+            body = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise _BadRequest(
+                "400 Bad Request", f"malformed JSON body: {exc}", close=False
+            ) from None
+        if not isinstance(body, dict):
+            raise _BadRequest(
+                "400 Bad Request", "JSON body must be an object", close=False
+            )
         return method, path, body
 
     async def _route(

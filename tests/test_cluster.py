@@ -12,6 +12,7 @@ builder.
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -34,6 +35,7 @@ from repro.serve.cluster import (
     ClusterService,
     RoutingTable,
 )
+from repro.serve.cluster.http_api import _MAX_BODY
 from repro.serve.cluster.routing import score
 from repro.serve.traffic import TrafficConfig
 from repro.serve.warmstart import FALLBACK_COMPACTED
@@ -367,6 +369,37 @@ class _ServerThread:
         except urllib.error.HTTPError as err:
             return err.code, json.loads(err.read().decode())
 
+    def raw(self):
+        """A keep-alive socket to the server and a reader over it."""
+        host, port = self.base[len("http://"):].rsplit(":", 1)
+        sock = socket.create_connection((host, int(port)), timeout=30)
+        return sock, sock.makefile("rb")
+
+
+def _read_response(stream):
+    """(status, headers, JSON body) of one response on a raw socket."""
+    status = int(stream.readline().split()[1])
+    headers = {}
+    while True:
+        line = stream.readline().decode("latin-1").strip()
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return status, headers, json.loads(body.decode())
+
+
+_HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _post(path, body, length=None):
+    length = len(body) if length is None else length
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode() + body
+
 
 class TestHTTPFrontDoor:
     @pytest.fixture()
@@ -420,6 +453,67 @@ class TestHTTPFrontDoor:
         assert status == 400
         status, _ = served.request("GET", "/nope")
         assert status == 404
+
+    def test_oversized_body_gets_413_and_closes_unread(self, served):
+        # the unread body holds a request line; parsing it as the next
+        # request would answer a request the client never framed
+        sock, stream = served.raw()
+        with sock, stream:
+            sock.sendall(_post("/query", _HEALTHZ, length=_MAX_BODY + 1))
+            status, headers, payload = _read_response(stream)
+            assert status == 413 and "exceeds" in payload["error"]
+            assert headers["connection"] == "close"
+            assert stream.read() == b""
+
+    def test_oversized_upload_still_reads_the_413(self, served):
+        # the server lingers over the unread body instead of resetting
+        # the connection, so a client that sends it all sees the answer
+        sock, stream = served.raw()
+        with sock, stream:
+            sock.sendall(_post("/query", b"x" * (_MAX_BODY + 1)))
+            sock.shutdown(socket.SHUT_WR)
+            status, headers, _ = _read_response(stream)
+            assert status == 413 and headers["connection"] == "close"
+            assert stream.read() == b""
+
+    @pytest.mark.parametrize("length", ["-5", "12abc", "", "1_0"])
+    def test_bad_content_length_gets_400_and_closes(self, served, length):
+        sock, stream = served.raw()
+        with sock, stream:
+            sock.sendall(_post("/query", b"{}", length=length) + _HEALTHZ)
+            status, headers, payload = _read_response(stream)
+            assert status == 400 and "Content-Length" in payload["error"]
+            assert headers["connection"] == "close"
+            assert stream.read() == b""
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            (b'{"algorithm": "sssp"', "malformed JSON"),
+            (b"\xff\xfe", "malformed JSON"),
+            (b'["sssp"]', "must be an object"),
+            (b"7", "must be an object"),
+        ],
+    )
+    def test_bad_json_body_gets_400_and_keeps_alive(self, served, body, error):
+        sock, stream = served.raw()
+        with sock, stream:
+            sock.sendall(_post("/query", body) + _HEALTHZ)
+            status, headers, payload = _read_response(stream)
+            assert status == 400 and error in payload["error"]
+            assert headers["connection"] == "keep-alive"
+            status, _, health = _read_response(stream)
+            assert status == 200 and health["status"] == "ok"
+
+    def test_keep_alive_carries_consecutive_requests(self, served):
+        sock, stream = served.raw()
+        with sock, stream:
+            query = json.dumps({"algorithm": "wcc"}).encode()
+            sock.sendall(_post("/query", query) + _HEALTHZ)
+            status, _, answer = _read_response(stream)
+            assert status == 200 and answer["status"] == "ok"
+            status, _, health = _read_response(stream)
+            assert status == 200 and health["status"] == "ok"
 
     def test_concurrent_identical_queries_coalesce(self, served):
         results = []
