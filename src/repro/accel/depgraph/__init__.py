@@ -3,7 +3,7 @@
 from .ddmu import DDMU
 from .edge_buffer import FICTITIOUS_SOURCE, FIFOEdgeBuffer, PrefetchedEdge
 from .engine import DepGraphEngine, EngineConfig
-from .hdtl import HDTL, EdgeFetch, PathEnd
+from .hdtl import HDTL
 from .hub_index import EntryFlag, HubIndex, HubIndexEntry
 from .hubs import DEFAULT_BETA, DEFAULT_LAMBDA, HubSets, degree_threshold, select_hubs
 from .queue import LocalCircularQueue
@@ -16,8 +16,6 @@ __all__ = [
     "DepGraphEngine",
     "EngineConfig",
     "HDTL",
-    "EdgeFetch",
-    "PathEnd",
     "EntryFlag",
     "HubIndex",
     "HubIndexEntry",

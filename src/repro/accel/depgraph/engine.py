@@ -11,22 +11,24 @@ benefit over DepGraph-S, where the same walk runs on the core's own
 timeline with software bookkeeping costs.
 
 ``DEP_configure`` / ``DEP_fetch_edge`` — the paper's two low-level APIs —
-map to :meth:`configure` and the runtime's consumption of
-:class:`~repro.accel.depgraph.hdtl.EdgeFetch` events.
+map to :meth:`configure` and the runtime's edge handler, which HDTL calls
+once per fetched edge.  The engine is its walker's fetch port:
+:meth:`fetch` and :meth:`fetch_state` put HDTL's line fetches on the
+engine timeline.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque
+from typing import Callable, Deque, Optional
 
 from ...graph.csr import CSRGraph
 from ...graph.partition import Partition
 from ...hardware.hierarchy import MemorySystem
 from ...hardware.layout import MemoryLayout
 from .edge_buffer import DEFAULT_CAPACITY
-from .hdtl import FETCH_NEIGHBOR, FETCH_OFFSET, FETCH_STATE, FETCH_WEIGHT, HDTL
+from .hdtl import HDTL, CSRViews
 from .queue import LocalCircularQueue
 
 
@@ -58,6 +60,7 @@ class DepGraphEngine:
         layout: MemoryLayout,
         hub_membership: Callable[[int], bool],
         config: EngineConfig,
+        csr: Optional[CSRViews] = None,
     ) -> None:
         self.core = core
         self.graph = graph
@@ -68,21 +71,23 @@ class DepGraphEngine:
         self.time = 0.0
         self.ops = 0
         self.stall_cycles = 0.0
-        #: fetches issued, by HDTL stage kind (offset/neighbor/weight/state)
-        self.fetch_counts: dict = {
-            FETCH_OFFSET: 0,
-            FETCH_NEIGHBOR: 0,
-            FETCH_WEIGHT: 0,
-            FETCH_STATE: 0,
-        }
         #: optional MetricRegistry attached by the runtime when observing
         self.metrics = None
         self._window: Deque[float] = deque()
+        # the "vertex state arrays" of Figure 2 are the recent-state and
+        # delta arrays; a state fetch brings in both lines of the target
+        self._state_base = layout.states.base
+        self._state_stride = layout.states.stride
+        self._delta_base = layout.deltas.base
+        self._delta_stride = layout.deltas.stride
         self.hdtl = HDTL(
             graph,
             hub_membership,
             stack_depth=config.stack_depth,
-            fetch=self._charge_fetch,
+            port=self,
+            layout=layout,
+            line_bytes=memsys.config.line_bytes,
+            csr=csr,
         )
 
     # ------------------------------------------------------------------
@@ -104,40 +109,34 @@ class DepGraphEngine:
         if core_time > self.time:
             self.time = core_time
 
-    def _charge_fetch(self, kind: str, index: int) -> None:
-        """HDTL fetch callback: one CSR-array access on the engine timeline
-        (the engine 'issues the instructions to access the data from the L2
-        cache', Section III-B)."""
+    def fetch(self, *addrs: int) -> None:
+        """HDTL port: one fetch slot for ``addrs`` — a CSR-array line
+        (offsets, edges or weights), or a target's state lines — on the
+        engine timeline (the engine 'issues the instructions to access
+        the data from the L2 cache', Section III-B)."""
         if len(self._window) >= self.config.buffer_capacity:
             # FIFO full: the engine waits for the core to drain an entry.
             release = self._window.popleft()
             if release > self.time:
                 self.stall_cycles += release - self.time
                 self.time = release
-        layout = self.layout
-        if kind == FETCH_OFFSET:
-            addrs = (layout.offsets.addr(index),)
-        elif kind == FETCH_NEIGHBOR:
-            addrs = (layout.targets.addr(index),)
-        elif kind == FETCH_WEIGHT:
-            addrs = (layout.weights.addr(index),)
-        elif kind == FETCH_STATE:
-            # the "vertex state arrays" of Figure 2 are the recent-state and
-            # delta arrays; the engine fetches both for the edge's target
-            addrs = (layout.states.addr(index), layout.deltas.addr(index))
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown fetch kind {kind!r}")
-        self.fetch_counts[kind] += 1
+        access = self.memsys.access
+        core = self.core
+        metrics = self.metrics
         for addr in addrs:
-            latency = self.memsys.access(self.core, addr, now=self.time)
+            latency = access(core, addr, False, self.time)
             self.time += ISSUE_CYCLES + latency / ENGINE_MLP
             self.ops += 1
-            if self.metrics is not None:
-                self.metrics.observe("engine.fetch_latency", latency)
+            if metrics is not None:
+                metrics.observe("engine.fetch_latency", latency)
 
-    def edge_ready_time(self) -> float:
-        """When the entry most recently pushed to the FIFO becomes poppable."""
-        return self.time
+    def fetch_state(self, vertex: int) -> None:
+        """HDTL port: the target's state and delta lines, so the core's
+        scatter into them hits privately."""
+        self.fetch(
+            self._state_base + self._state_stride * vertex,
+            self._delta_base + self._delta_stride * vertex,
+        )
 
     def note_consumed(self, core_time: float) -> None:
         """The core popped one FIFO entry at ``core_time``."""
@@ -170,7 +169,7 @@ class DepGraphEngine:
             "stall_cycles": self.stall_cycles,
             "time": self.time,
         }
-        for kind, count in self.fetch_counts.items():
+        for kind, count in self.hdtl.fetch_counts().items():
             out[f"fetch_{kind}"] = count
         return out
 

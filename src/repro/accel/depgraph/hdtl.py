@@ -13,70 +13,57 @@ A traversal path ends when (Section III-B2):
   DDMU can create its hub-index entry;
 * the fixed-depth stack is full (the chain is split; the frontier vertex
   becomes a new root);
+* the fetched vertex lies outside the partition the walker is confined
+  to (the owning core continues the chain);
 * no unvisited vertex can be fetched from the current branch.
 
-The class is execution-agnostic: it is a generator that yields
-:class:`EdgeFetch` events and receives back the core's *descend* decision
-(whether the destination was significantly updated and should be explored),
-and yields :class:`PathEnd` events for bookkeeping.  Memory timing is charged
-through the ``fetch`` callback so the same walker serves both DepGraph-S
-(core pays software costs) and DepGraph-H (engine timeline pays them).
+The class is execution-agnostic and callback-driven: :meth:`HDTL.traverse`
+runs the whole walk, handing each fetched edge to the caller's ``on_edge``
+handler, which returns the core's *descend* decision (whether the
+destination was significantly updated and should be explored), and each
+ended path to ``on_path_end``.  Memory traffic goes to a *fetch port*:
+``port.fetch(addr)`` for one line of the offset, edge or weight array and
+``port.fetch_state(vertex)`` for the target's state lines.  The walker
+keeps one line register per CSR array, as the hardware keeps the current
+neighbour cache line, so successive elements of a line cost one fetch.
+The same walker serves DepGraph-S (the port charges the core's clock) and
+DepGraph-H (the engine's timeline pays).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Set, Tuple, Union
+from typing import Callable, Optional, Set, Tuple
 
 from ...graph.csr import CSRGraph
+from ...hardware.layout import MemoryLayout
 
-#: fetch-callback access kinds (map to the CSR arrays of Figure 8)
-FETCH_OFFSET = "offset"
-FETCH_NEIGHBOR = "neighbor"
-FETCH_WEIGHT = "weight"
-FETCH_STATE = "state"
+#: ``on_edge(source, target, weight, depth) -> descend``
+EdgeHandler = Callable[[int, int, float, int], bool]
+#: ``on_path_end(path, reason)``: ``path`` runs root..endpoint inclusive,
+#: ``reason`` is ``"hub"``, ``"boundary"`` or ``"depth"``; the endpoint
+#: was *not* descended into and continues as a new root
+PathEndHandler = Callable[[Tuple[int, ...], str], None]
 
-
-@dataclass(frozen=True)
-class EdgeFetch:
-    """One prefetched edge handed to the core."""
-
-    source: int
-    target: int
-    weight: float
-    edge_index: int
-    depth: int
+CSRViews = Tuple[memoryview, memoryview, Optional[memoryview]]
 
 
-@dataclass(frozen=True)
-class PathEnd:
-    """A traversal path terminated.
-
-    ``reason``: ``"hub"`` (reached an H'' vertex) or ``"depth"`` (stack
-    full).  ``path`` runs root..last vertex inclusive; the last vertex was
-    *not* descended into and should be re-enqueued as a new root.
-    """
-
-    path: Tuple[int, ...]
-    reason: str
-
-    @property
-    def endpoint(self) -> int:
-        return self.path[-1]
+def csr_views(graph: CSRGraph) -> CSRViews:
+    """``(offsets, targets, weights)`` as memoryviews of the graph's
+    arrays (``weights`` is None when unweighted).  Made once per run and
+    shared by every walker: an item read returns a plain Python int or
+    float, without NumPy's scalar boxing, and nothing is copied."""
+    weights = memoryview(graph.weights) if graph.is_weighted else None
+    return memoryview(graph.offsets), memoryview(graph.targets), weights
 
 
-TraversalEvent = Union[EdgeFetch, PathEnd]
+class _NoFetch:
+    """The port of a walker whose memory traffic nobody charges."""
 
+    def fetch(self, addr: int) -> None:
+        pass
 
-@dataclass
-class _StackEntry:
-    """Figure 7's stack entry: visited vertex id + current/end offsets of its
-    unvisited edges (the cached neighbour cache-line is folded into the fetch
-    callback's line-granular accounting)."""
-
-    vertex: int
-    cursor: int
-    end: int
+    def fetch_state(self, vertex: int) -> None:
+        pass
 
 
 class HDTL:
@@ -87,90 +74,178 @@ class HDTL:
         graph: CSRGraph,
         hub_membership: Callable[[int], bool],
         stack_depth: int = 10,
-        fetch: Optional[Callable[[str, int], None]] = None,
-        in_partition: Optional[Callable[[int], bool]] = None,
+        port=None,
+        layout: Optional[MemoryLayout] = None,
+        line_bytes: int = 64,
+        csr: Optional[CSRViews] = None,
     ) -> None:
         if stack_depth < 1:
             raise ValueError("stack_depth must be >= 1")
         self.graph = graph
         self.hub_membership = hub_membership
         self.stack_depth = stack_depth
-        self.fetch = fetch or (lambda kind, index: None)
+        self.port = port if port is not None else _NoFetch()
+        self._offsets, self._targets, self._weights = (
+            csr if csr is not None else csr_views(graph)
+        )
+        # the array bases DEP_configure() conveys
+        layout = layout if layout is not None else MemoryLayout(graph, 1)
+        self._regions = (layout.offsets, layout.targets, layout.weights)
+        self._line_bytes = line_bytes
         #: partition confinement: HDTL only prefetches the edges of its
         #: core's partition G^m (Section III-B2); a path reaching a vertex
-        #: outside the partition ends there and the endpoint continues as a
-        #: root on its owning core.
-        self.in_partition = in_partition or (lambda vertex: True)
-        #: statistics
+        #: outside ``[part_begin, part_end)`` ends there and the endpoint
+        #: continues as a root on its owning core.
+        self.part_begin = 0
+        self.part_end = graph.num_vertices
+        #: line registers: the last line fetched from each CSR array
+        self._offset_line = self._neighbor_line = self._weight_line = -1
+        #: statistics (line fetches per CSR array; one state fetch per edge)
+        self.offset_fetches = 0
+        self.neighbor_fetches = 0
+        self.weight_fetches = 0
         self.edges_fetched = 0
         self.paths_ended = 0
         self.max_depth_seen = 0
 
     # ------------------------------------------------------------------
+    def confine(self, begin: int, end: int) -> None:
+        """Confine the walk to partition ``[begin, end)``.  A new range
+        invalidates the line registers."""
+        self.part_begin = begin
+        self.part_end = end
+        self._offset_line = self._neighbor_line = self._weight_line = -1
+
+    def fetch_counts(self) -> dict:
+        """Fetches issued, by HDTL stage (offset/neighbor/weight/state)."""
+        return {
+            "offset": self.offset_fetches,
+            "neighbor": self.neighbor_fetches,
+            "weight": self.weight_fetches,
+            "state": self.edges_fetched,
+        }
+
+    # ------------------------------------------------------------------
     def traverse(
-        self, root: int, visited: Set[int]
-    ) -> Generator[TraversalEvent, bool, None]:
-        """Walk depth-first from ``root``.
+        self,
+        root: int,
+        visited: Set[int],
+        on_edge: EdgeHandler,
+        on_path_end: PathEndHandler,
+    ) -> None:
+        """Walk depth-first from ``root``, driving the two handlers.
 
         ``visited`` is the per-round applied-vertex set shared with the
         runtime; HDTL adds every vertex it descends into (the caller marks
-        the root itself when it applies it).  The generator yields
-        :class:`EdgeFetch` events; the caller must ``send`` back True to
-        descend into the edge's target (i.e. the core applied a significant
-        update there) or False to prune the branch.  :class:`PathEnd` events
-        expect no response.
+        the root itself when it applies it).  ``on_edge`` sees every
+        fetched edge and returns True to descend into its target (the core
+        applied a significant update there) or False to prune the branch.
+        ``on_path_end`` sees every ended traversal path.
         """
-        graph = self.graph
+        offsets = self._offsets
+        targets = self._targets
+        weights = self._weights
+        fetch = self.port.fetch
+        fetch_state = self.port.fetch_state
+        is_hub = self.hub_membership
+        stack_depth = self.stack_depth
+        part_begin = self.part_begin
+        part_end = self.part_end
+        line_bytes = self._line_bytes
+        offset_region, target_region, weight_region = self._regions
+        offset_base, offset_stride = offset_region.base, offset_region.stride
+        target_base, target_stride = target_region.base, target_region.stride
+        weight_base, weight_stride = weight_region.base, weight_region.stride
+        offset_line = self._offset_line
+        neighbor_line = self._neighbor_line
+        weight_line = self._weight_line
+        offset_fetches = self.offset_fetches
+        neighbor_fetches = self.neighbor_fetches
+        weight_fetches = self.weight_fetches
+        edges_fetched = self.edges_fetched
+        paths_ended = self.paths_ended
+        max_depth = self.max_depth_seen
+
         visited.add(root)
-        self.fetch(FETCH_OFFSET, root)
-        begin, end = graph.edge_range(root)
-        stack: List[_StackEntry] = [_StackEntry(root, begin, end)]
-        while stack:
-            top = stack[-1]
-            if top.cursor >= top.end:
+        addr = offset_base + offset_stride * root
+        if addr // line_bytes != offset_line:
+            offset_line = addr // line_bytes
+            offset_fetches += 1
+            fetch(addr)
+        # Figure 7's stack: vertex, current and end offsets of its
+        # unvisited edges, one list per field
+        path = [root]
+        cursors = [offsets[root]]
+        ends = [offsets[root + 1]]
+        while path:
+            edge = cursors[-1]
+            if edge >= ends[-1]:
                 # This branch is exhausted: pop, resume the parent.
-                stack.pop()
+                path.pop()
+                cursors.pop()
+                ends.pop()
                 continue
-            edge_index = top.cursor
-            top.cursor += 1
-            self.fetch(FETCH_NEIGHBOR, edge_index)
-            target = int(graph.targets[edge_index])
-            weight = graph.edge_weight(edge_index)
-            if graph.is_weighted:
-                self.fetch(FETCH_WEIGHT, edge_index)
-            self.fetch(FETCH_STATE, target)
-            self.edges_fetched += 1
-            descend = yield EdgeFetch(
-                top.vertex, target, weight, edge_index, len(stack)
-            )
-            if self.hub_membership(target):
+            cursors[-1] = edge + 1
+            addr = target_base + target_stride * edge
+            if addr // line_bytes != neighbor_line:
+                neighbor_line = addr // line_bytes
+                neighbor_fetches += 1
+                fetch(addr)
+            target = targets[edge]
+            if weights is None:
+                weight = 1.0
+            else:
+                weight = weights[edge]
+                addr = weight_base + weight_stride * edge
+                if addr // line_bytes != weight_line:
+                    weight_line = addr // line_bytes
+                    weight_fetches += 1
+                    fetch(addr)
+            fetch_state(target)
+            edges_fetched += 1
+            depth = len(path)
+            descend = on_edge(path[-1], target, weight, depth)
+            if is_hub(target):
                 # Reached an H'' vertex: the path ends here; the runtime
                 # re-enqueues the endpoint and, when the root is in H'',
                 # reports the segment to the DDMU as a core-path.  HDTL
                 # never descends past hub/core vertices, which keeps
                 # core-paths edge-disjoint (Definition 2).
-                self.paths_ended += 1
-                path = tuple(entry.vertex for entry in stack) + (target,)
-                yield PathEnd(path, "hub")
+                paths_ended += 1
+                on_path_end((*path, target), "hub")
                 continue
-            if not self.in_partition(target):
+            if not part_begin <= target < part_end:
                 # Left G^m: the owning core continues this chain.
                 if descend and target not in visited:
-                    self.paths_ended += 1
-                    path = tuple(entry.vertex for entry in stack) + (target,)
-                    yield PathEnd(path, "boundary")
+                    paths_ended += 1
+                    on_path_end((*path, target), "boundary")
                 continue
             if not descend or target in visited:
                 continue
-            if len(stack) >= self.stack_depth:
+            if depth >= stack_depth:
                 # Fixed-depth stack is full: split the chain here and let
                 # the endpoint continue as a fresh root.
-                self.paths_ended += 1
-                path = tuple(entry.vertex for entry in stack) + (target,)
-                yield PathEnd(path, "depth")
+                paths_ended += 1
+                on_path_end((*path, target), "depth")
                 continue
             visited.add(target)
-            self.fetch(FETCH_OFFSET, target)
-            t_begin, t_end = graph.edge_range(target)
-            stack.append(_StackEntry(target, t_begin, t_end))
-            self.max_depth_seen = max(self.max_depth_seen, len(stack))
+            addr = offset_base + offset_stride * target
+            if addr // line_bytes != offset_line:
+                offset_line = addr // line_bytes
+                offset_fetches += 1
+                fetch(addr)
+            path.append(target)
+            cursors.append(offsets[target])
+            ends.append(offsets[target + 1])
+            if depth + 1 > max_depth:
+                max_depth = depth + 1
+
+        self._offset_line = offset_line
+        self._neighbor_line = neighbor_line
+        self._weight_line = weight_line
+        self.offset_fetches = offset_fetches
+        self.neighbor_fetches = neighbor_fetches
+        self.weight_fetches = weight_fetches
+        self.edges_fetched = edges_fetched
+        self.paths_ended = paths_ended
+        self.max_depth_seen = max_depth

@@ -78,10 +78,17 @@ class MemorySystem:
         )
         # hot-path lookups, precomputed once
         self._l1_lat = config.l1d.latency
-        self._l2_lat = config.l2.latency
+        self._l2_hit_lat = config.l1d.latency + config.l2.latency
         self._l3_lat = config.l3.latency
         self._dram_lat = config.dram_latency
         self._hop_cycles = config.noc_hop_cycles
+        self._l3_banks = config.l3_banks
+        # per-level replacement, decided once: LRU private levels are
+        # walked inline by access(), the others call Cache.access
+        self._l1_lru = config.l1d.policy == "lru"
+        self._l2_lru = config.l2.policy == "lru"
+        self._l1_ways = config.l1d.ways
+        self._l2_ways = config.l2.ways
         self._hops = [
             [self.noc.hops(core, bank) for bank in range(config.l3_banks)]
             for core in range(config.num_cores)
@@ -108,18 +115,49 @@ class MemorySystem:
         """Walk the hierarchy for one address; returns latency in cycles.
 
         ``now`` (the requester's clock) only matters when the bandwidth-
-        aware DRAM model is enabled: it determines channel queueing."""
+        aware DRAM model is enabled: it determines channel queueing.
+
+        Private LRU levels are resolved here, on their sets, with the
+        same counters and replacement as :meth:`Cache.access` (which
+        stays the reference model); the shared L3 and any non-LRU level
+        go through :meth:`Cache.access`.  This is the simulator's
+        innermost loop: one call per simulated access."""
         stats = self.stats
         line = addr >> self._line_shift
-        cycles = self._l1_lat
-        if self.l1[core].access(line, write):
+        l1 = self.l1[core]
+        if self._l1_lru:
+            cset = l1._sets[line & l1._set_mask]
+            if line in cset:
+                cset.move_to_end(line)
+                l1.hits += 1
+                stats.l1_hits += 1
+                return self._l1_lat
+            l1.misses += 1
+            if len(cset) >= self._l1_ways:
+                cset.popitem(last=False)
+                l1.writebacks += 1
+            cset[line] = 0
+        elif l1.access(line, write):
             stats.l1_hits += 1
-            return cycles
-        cycles += self._l2_lat
-        if self.l2[core].access(line, write):
+            return self._l1_lat
+        l2 = self.l2[core]
+        if self._l2_lru:
+            cset = l2._sets[line & l2._set_mask]
+            if line in cset:
+                cset.move_to_end(line)
+                l2.hits += 1
+                stats.l2_hits += 1
+                return self._l2_hit_lat
+            l2.misses += 1
+            if len(cset) >= self._l2_ways:
+                cset.popitem(last=False)
+                l2.writebacks += 1
+            cset[line] = 0
+        elif l2.access(line, write):
             stats.l2_hits += 1
-            return cycles
-        bank = (line ^ (line >> 7)) % self.config.l3_banks
+            return self._l2_hit_lat
+        cycles = self._l2_hit_lat
+        bank = (line ^ (line >> 7)) % self._l3_banks
         hops = self._hops[core][bank]
         stats.noc_hop_count += 2 * hops
         cycles += 2 * hops * self._hop_cycles + self._l3_lat

@@ -73,6 +73,12 @@ class SimContext:
             for core in range(hardware.num_cores):
                 self.tracer.name_track(core + 1, f"core {core}")
         self.layout = MemoryLayout(graph, hardware.num_cores)
+        #: the state and delta arrays' address ints: hot paths compute
+        #: ``base + stride * vertex`` instead of calling ArrayRegion.addr
+        self.state_base = self.layout.states.base
+        self.state_stride = self.layout.states.stride
+        self.delta_base = self.layout.deltas.base
+        self.delta_stride = self.layout.deltas.stride
         self.partitioning: Partitioning = by_edge_count(graph, hardware.num_cores)
         self._owner = self.partitioning.owner_map().tolist()
 
@@ -134,7 +140,7 @@ class SimContext:
     def charge_mem(
         self, core: int, addr: int, write: bool = False, state: bool = False
     ) -> float:
-        cycles = self._access(core, addr, write, now=self.clock[core])
+        cycles = self._access(core, addr, write, self.clock[core])
         self.clock[core] += cycles
         self.mem[core] += cycles
         if state:
@@ -155,7 +161,7 @@ class SimContext:
         """A read-modify-write to one location (scatter accumulation): one
         hierarchy walk; the write hits the just-installed line.  Scatters
         target the delta array, so they count as state traffic by default."""
-        cycles = self._access(core, addr, True, now=self.clock[core]) + 1
+        cycles = self._access(core, addr, True, self.clock[core]) + 1
         self.clock[core] += cycles
         self.mem[core] += cycles
         if state:
@@ -183,7 +189,7 @@ class SimContext:
     def mem_cost(self, core: int, addr: int, write: bool = False) -> float:
         """Memory access whose latency the caller will attribute itself
         (used by engine timelines that run off the core clock)."""
-        return self._access(core, addr, write, now=self.clock[core])
+        return self._access(core, addr, write, self.clock[core])
 
     def _mem_cost_fast(self, core: int, addr: int, write: bool = False) -> float:
         return FAST_MEM_CYCLES
@@ -196,18 +202,16 @@ class SimContext:
     def charge_state_entry(self, core: int, vertex: int) -> None:
         """Delta read then state read for ``vertex`` — the charge sequence
         at the head of every family's vertex processing."""
-        layout = self.layout
         charge_mem = self.charge_mem
-        charge_mem(core, layout.deltas.addr(vertex), state=True)
-        charge_mem(core, layout.states.addr(vertex), state=True)
+        charge_mem(core, self.delta_base + self.delta_stride * vertex, False, True)
+        charge_mem(core, self.state_base + self.state_stride * vertex, False, True)
 
     def charge_state_update(self, core: int, vertex: int) -> None:
         """State write, delta write, then the update-op compute charge —
         the post-apply sequence shared by every family."""
-        layout = self.layout
         charge_mem = self.charge_mem
-        charge_mem(core, layout.states.addr(vertex), write=True, state=True)
-        charge_mem(core, layout.deltas.addr(vertex), write=True, state=True)
+        charge_mem(core, self.state_base + self.state_stride * vertex, True, True)
+        charge_mem(core, self.delta_base + self.delta_stride * vertex, True, True)
         self.charge_compute(core, self.timing.update_op)
 
     # ------------------------------------------------------------------
@@ -349,6 +353,13 @@ class SimContext:
     def result(self, converged: bool) -> ExecutionResult:
         import numpy as np
 
+        states = np.asarray(self.states, dtype=np.float64)
+        if self.is_sum and not np.isfinite(states).all():
+            # a sum-type run that overflowed (e.g. Katz with attenuation
+            # above 1 / the spectral radius) diverged, whatever its
+            # frontier did; min/max runs keep their legitimate inf for
+            # unreachable vertices
+            converged = False
         self.memsys.flush_metrics(self.metrics)
         self.metrics.set("sim.updates", self.updates)
         self.metrics.set("sim.edge_ops", self.edge_ops)
@@ -359,7 +370,7 @@ class SimContext:
         result = ExecutionResult(
             system=self.system,
             algorithm=self.algorithm.name,
-            states=np.asarray(self.states, dtype=np.float64),
+            states=states,
             total_updates=self.updates,
             edge_operations=self.edge_ops,
             rounds=self.rounds,

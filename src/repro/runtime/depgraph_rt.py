@@ -45,7 +45,7 @@ import numpy as np
 
 from ..accel.depgraph.ddmu import DDMU
 from ..accel.depgraph.engine import DepGraphEngine, EngineConfig
-from ..accel.depgraph.hdtl import HDTL, EdgeFetch, PathEnd
+from ..accel.depgraph.hdtl import HDTL, csr_views
 from ..accel.depgraph.hub_index import HubIndex
 from ..accel.depgraph.hubs import (
     DEFAULT_BETA,
@@ -122,6 +122,28 @@ def vector_profile(options: DepGraphOptions, hardware: HardwareConfig):
         vertex_overhead=float(hardware.timing.dispatch_op),
         edge_overhead=edge_overhead,
     )
+
+
+class _CoreFetch:
+    """DepGraph-S's fetch port: the core runs HDTL's fetch stages itself,
+    so every line is charged on the core's clock.  State fetches read the
+    target's state line only."""
+
+    __slots__ = ("_charge_mem", "_core", "_state_base", "_state_stride")
+
+    def __init__(self, ctx, core: int) -> None:
+        self._charge_mem = ctx.charge_mem
+        self._core = core
+        self._state_base = ctx.state_base
+        self._state_stride = ctx.state_stride
+
+    def fetch(self, addr: int) -> None:
+        self._charge_mem(self._core, addr)
+
+    def fetch_state(self, vertex: int) -> None:
+        self._charge_mem(
+            self._core, self._state_base + self._state_stride * vertex
+        )
 
 
 class _DepGraphExecution:
@@ -203,10 +225,8 @@ class _DepGraphExecution:
         self.claimed: Dict[int, Tuple[int, int, int]] = {}
 
         membership = self.hubsets.__contains__
-        # line-batched fetch dedup state, one per core: kind -> last line
-        self._last_fetch_line: List[Dict[str, int]] = [
-            {} for _ in range(cores)
-        ]
+        # the CSR arrays as memoryviews, shared by every core's walker
+        csr = csr_views(ctx.graph)
         if options.hardware:
             self.engines: Optional[List[DepGraphEngine]] = [
                 DepGraphEngine(
@@ -222,6 +242,7 @@ class _DepGraphExecution:
                         stack_depth=options.stack_depth,
                         buffer_capacity=options.buffer_capacity,
                     ),
+                    csr=csr,
                 )
                 for core in range(cores)
             ]
@@ -236,92 +257,31 @@ class _DepGraphExecution:
                     ctx.graph,
                     membership,
                     stack_depth=options.stack_depth,
-                    fetch=self._software_fetch_for(core),
+                    port=_CoreFetch(ctx, core),
+                    layout=ctx.layout,
+                    line_bytes=hardware.line_bytes,
+                    csr=csr,
                 )
                 for core in range(cores)
             ]
-        for core, walker in enumerate(self.walkers):
-            walker.in_partition = self._partition_check_for(core)
-        if self.engines is not None:
-            for core, engine in enumerate(self.engines):
-                engine.hdtl.fetch = self._filtered_engine_fetch(core, engine)
+        #: the applied-vertex set of the current round (cleared, never
+        #: rebound: the chain handlers hold it)
         self.visited: Set[int] = set()
+        layout = ctx.layout
+        self._queue_base = layout.queues.base
+        self._queue_stride = layout.queues.stride
+        self._queue_slots = layout.queues.length
+        #: whether the chain being walked is rooted in H''
+        self._root_is_hub = False
+        self._handlers = [
+            self._chain_handlers(
+                core, self.engines[core] if self.engines is not None else None
+            )
+            for core in range(cores)
+        ]
         self._expected_resets: Dict[Tuple[int, int, int], float] = {}
         self._learning_entries: Set[Tuple[int, int, int]] = set()
         self._shortcuts_before = 0
-
-    # ------------------------------------------------------------------
-    def _partition_check_for(self, core: int):
-        def check(vertex: int) -> bool:
-            part = self.current_part[core]
-            if part is None:
-                return True
-            partition = self.partitioning[part]
-            return partition.begin <= vertex < partition.end
-
-        return check
-
-    def _software_fetch_for(self, core: int):
-        ctx = self.ctx
-        layout = ctx.layout
-        line = ctx.hardware.line_bytes
-        offsets_addr = layout.offsets.addr
-        targets_addr = layout.targets.addr
-        weights_addr = layout.weights.addr
-        states_addr = layout.states.addr
-        charge_mem = ctx.charge_mem
-        # _switch_part clears this dict in place, so the binding stays live
-        last = self._last_fetch_line[core]
-
-        def fetch(kind: str, index: int) -> None:
-            if kind == "offset":
-                addr = offsets_addr(index)
-            elif kind == "neighbor":
-                addr = targets_addr(index)
-            elif kind == "weight":
-                addr = weights_addr(index)
-            else:
-                # state fetches are never line-deduped
-                charge_mem(core, states_addr(index))
-                return
-            # successive fetches of the same cache line are free, matching
-            # the per-line charging of the frontier runtimes
-            addr_line = addr // line
-            if last.get(kind) == addr_line:
-                return
-            last[kind] = addr_line
-            charge_mem(core, addr)
-
-        return fetch
-
-    def _filtered_engine_fetch(self, core: int, engine: DepGraphEngine):
-        """Line dedup for the hardware engine's fetch stream."""
-        layout = self.ctx.layout
-        line = self.ctx.hardware.line_bytes
-        offsets_addr = layout.offsets.addr
-        targets_addr = layout.targets.addr
-        weights_addr = layout.weights.addr
-        charge = engine._charge_fetch
-        # _switch_part clears this dict in place, so the binding stays live
-        last = self._last_fetch_line[core]
-
-        def fetch(kind: str, index: int) -> None:
-            if kind == "offset":
-                addr = offsets_addr(index)
-            elif kind == "neighbor":
-                addr = targets_addr(index)
-            elif kind == "weight":
-                addr = weights_addr(index)
-            else:
-                charge(kind, index)
-                return
-            addr_line = addr // line
-            if last.get(kind) == addr_line:
-                return
-            last[kind] = addr_line
-            charge(kind, index)
-
-        return fetch
 
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
@@ -343,7 +303,7 @@ class _DepGraphExecution:
                     break
             start_peak, updates_before = kernel.begin_round(round_index)
             active = sum(core_count)
-            self.visited = set()
+            self.visited.clear()
             if (
                 self.sched.partition_aware
                 and self.options.work_stealing
@@ -421,12 +381,13 @@ class _DepGraphExecution:
         if self.current_part[core] == part:
             return
         self.current_part[core] = part
-        self._last_fetch_line[core].clear()
+        partition = self.partitioning[part]
+        self.walkers[core].confine(partition.begin, partition.end)
         if self.engines is not None:
             engine = self.engines[core]
             engine.configure(
                 EngineConfig(
-                    self.partitioning[part],
+                    partition,
                     stack_depth=self.options.stack_depth,
                     buffer_capacity=self.options.buffer_capacity,
                 )
@@ -654,12 +615,13 @@ class _DepGraphExecution:
 
     def _handle_root_inner(self, core: int, root: int) -> None:
         ctx = self.ctx
-        layout = ctx.layout
         timing = ctx.timing
         self._shortcuts_before = ctx.shortcut_applications
 
         ctx.charge_overhead(core, timing.dispatch_op)
-        ctx.charge_mem(core, layout.queues.addr(core % layout.queues.length))
+        ctx.charge_mem(
+            core, self._queue_base + self._queue_stride * (core % self._queue_slots)
+        )
         if root in self.visited:
             if ctx.significant(ctx.pending[root], root):
                 part = self._vertex_part[root]
@@ -683,18 +645,20 @@ class _DepGraphExecution:
             self._apply_shortcuts(core, root, value, engine)
 
         if not (ctx.is_sum and value == 0.0):
-            self._walk_chain(core, root, engine)
+            self._walk_chain(core, root)
         # Every applied shortcut is balanced by exactly one fictitious reset
         # edge ("only one copy of f finally affects v15", Section III-B2).
         # Resets for core-paths the walk completed were consumed at their
-        # PathEnd; any leftover (the walk pruned the path, or reached the
+        # path end; any leftover (the walk pruned the path, or reached the
         # tail via a different core-path) is applied now so the shortcut's
         # influence never double-counts.
         for key, influence in self._expected_resets.items():
             tail = key[1]
             ctx.pending[tail] = ctx.pending[tail] - influence
             ctx.charge_overhead(core, RESET_EDGE_CYCLES)
-            ctx.charge_mem(core, ctx.layout.deltas.addr(tail), write=True, state=True)
+            ctx.charge_mem(
+                core, ctx.delta_base + ctx.delta_stride * tail, True, True
+            )
             if ctx.significant(ctx.pending[tail], tail):
                 self._enqueue_active(core, tail)
         self._expected_resets = {}
@@ -722,7 +686,7 @@ class _DepGraphExecution:
             influence = self.ddmu.shortcut_influence(entry, value)
             tail = entry.tail
             ctx.pending[tail] = ctx.algorithm.accum(ctx.pending[tail], influence)
-            ctx.charge_rmw(core, layout.deltas.addr(tail))
+            ctx.charge_rmw(core, ctx.delta_base + ctx.delta_stride * tail)
             ctx.charge_compute(core, timing.edge_op)
             ctx.shortcut_applications += 1
             if ctx.tracer.enabled:
@@ -746,8 +710,8 @@ class _DepGraphExecution:
         queue = self.queues[part]
         ctx.charge_mem(
             core,
-            ctx.layout.queues.addr(part % ctx.layout.queues.length),
-            write=True,
+            self._queue_base + self._queue_stride * (part % self._queue_slots),
+            True,
         )
         if vertex not in self.visited:
             if queue.push_current(vertex, remote=owner_core != core):
@@ -757,110 +721,114 @@ class _DepGraphExecution:
                 self.windex.pushed_next(part, vertex)
 
     # ------------------------------------------------------------------
-    def _walk_chain(
-        self, core: int, root: int, engine: Optional[DepGraphEngine]
-    ) -> None:
-        walker = self.walkers[core]
-        software = engine is None
-        root_is_hub = self.hub_active and root in self.hubsets
-        on_edge = self._on_edge
-        on_path_end = self._on_path_end
+    def _walk_chain(self, core: int, root: int) -> None:
+        self._root_is_hub = self.hub_active and root in self.hubsets
+        on_edge, on_path_end = self._handlers[core]
+        self.walkers[core].traverse(root, self.visited, on_edge, on_path_end)
 
-        gen = walker.traverse(root, self.visited)
-        send = gen.send
-        response: Optional[bool] = None
-        while True:
-            try:
-                event = send(response) if response is not None else next(gen)
-            except StopIteration:
-                break
-            response = False
-            if type(event) is EdgeFetch:
-                response = on_edge(core, event, engine, software)
-            elif type(event) is PathEnd:
-                on_path_end(core, event, engine, root_is_hub)
-
-    def _on_edge(
-        self,
-        core: int,
-        event: EdgeFetch,
-        engine: Optional[DepGraphEngine],
-        software: bool,
-    ) -> bool:
+    def _chain_handlers(self, core: int, engine: Optional[DepGraphEngine]):
+        """The core's two HDTL handlers: ``on_edge`` consumes one fetched
+        edge (DEP_FETCH_EDGE, scatter, and the descend decision) and
+        ``on_path_end`` re-enqueues an ended path's endpoint.  Built once
+        per core, so the per-edge call binds nothing."""
         ctx = self.ctx
         algorithm = ctx.algorithm
-        layout = ctx.layout
+        graph = ctx.graph
         timing = ctx.timing
-        source, target = event.source, event.target
+        edge_compute = algorithm.edge_compute
+        accum = algorithm.accum
+        is_significant = algorithm.is_significant
+        propval = ctx.propval
+        pending = ctx.pending
+        states = ctx.states
+        clock = ctx.clock
+        identity = ctx.identity
+        charge_overhead = ctx.charge_overhead
+        charge_compute = ctx.charge_compute
+        charge_mem = ctx.charge_mem
+        charge_rmw = ctx.charge_rmw
+        apply_vertex = ctx.apply_vertex
+        edge_op = timing.edge_op
+        update_op = timing.update_op
+        sw_traverse_op = timing.sw_traverse_op
+        delta_base, delta_stride = ctx.delta_base, ctx.delta_stride
+        state_base, state_stride = ctx.state_base, ctx.state_stride
+        visited = self.visited
+        hubsets = self.hubsets
+        hub_active = self.hub_active
+        walker = self.walkers[core]
+        enqueue = self._enqueue_active
+        note_consumed = engine.note_consumed if engine is not None else None
 
-        if software:
-            # The core itself ran the four fetch stages (already charged via
-            # the fetch callback); add the software bookkeeping per edge.
-            ctx.charge_overhead(core, timing.sw_traverse_op)
-        else:
-            # DEP_FETCH_EDGE: pop the FIFO, stalling if the engine is behind.
-            ready = engine.edge_ready_time()
-            if ready > ctx.clock[core]:
-                ctx.charge_overhead(core, ready - ctx.clock[core])
-            ctx.charge_overhead(core, BUFFER_POP_CYCLES)
-            engine.note_consumed(ctx.clock[core])
+        def on_edge(source: int, target: int, weight: float, depth: int) -> bool:
+            if engine is None:
+                # The core itself ran the four fetch stages (already
+                # charged through its fetch port); add the software
+                # bookkeeping per edge.
+                charge_overhead(core, sw_traverse_op)
+            else:
+                # DEP_FETCH_EDGE: pop the FIFO, stalling if the engine is
+                # behind (its last entry is ready at the engine's time).
+                ready = engine.time
+                if ready > clock[core]:
+                    charge_overhead(core, ready - clock[core])
+                charge_overhead(core, BUFFER_POP_CYCLES)
+                note_consumed(clock[core])
 
-        value = ctx.propval[source]
-        influence = algorithm.edge_compute(source, value, event.weight, ctx.graph)
-        ctx.edge_ops += 1
-        ctx.charge_compute(core, timing.edge_op)
-        folded = algorithm.accum(ctx.pending[target], influence)
-        ctx.pending[target] = folded
-        # these hit the private cache when the engine prefetched the target's
-        # state/delta lines (FETCH_STATE); DepGraph-S pays the full walk
-        ctx.charge_rmw(core, layout.deltas.addr(target))
-        ctx.charge_mem(core, layout.states.addr(target), state=True)
+            influence = edge_compute(source, propval[source], weight, graph)
+            ctx.edge_ops += 1
+            charge_compute(core, edge_op)
+            folded = accum(pending[target], influence)
+            pending[target] = folded
+            # these hit the private cache when the engine prefetched the
+            # target's state/delta lines (fetch_state); DepGraph-S pays
+            # the full walk
+            charge_rmw(core, delta_base + delta_stride * target)
+            state_addr = state_base + state_stride * target
+            charge_mem(core, state_addr, False, True)
 
-        significant = algorithm.is_significant(folded, ctx.states[target])
-        if not significant:
-            return False
-        if target in self.visited:
-            # Re-activation: the vertex already ran this round.
-            self._enqueue_active(core, target)
-            return False
-        if self.hub_active and target in self.hubsets:
-            # HDTL will emit PathEnd("hub"); the endpoint is enqueued there.
+            if not is_significant(folded, states[target]):
+                return False
+            if target in visited:
+                # Re-activation: the vertex already ran this round.
+                enqueue(core, target)
+                return False
+            if hub_active and target in hubsets:
+                # HDTL ends the path at the hub; the endpoint is
+                # enqueued there.
+                return True
+            if not walker.part_begin <= target < walker.part_end:
+                # HDTL ends the path at the boundary; ditto.
+                return True
+            if depth >= walker.stack_depth:
+                # HDTL splits the chain at the full stack; ditto.
+                return True
+            # Descend: apply the target asynchronously, in chain order.
+            pending[target] = identity
+            apply_vertex(target, folded)
+            charge_mem(core, state_addr, True, True)
+            charge_compute(core, update_op)
             return True
-        if not self.walkers[core].in_partition(target):
-            # HDTL will emit PathEnd("boundary"); ditto.
-            return True
-        if event.depth >= self.walkers[core].stack_depth:
-            # HDTL will emit PathEnd("depth"); ditto.
-            return True
-        # Descend: apply the target asynchronously, in chain order.
-        ctx.pending[target] = ctx.identity
-        ctx.apply_vertex(target, folded)
-        ctx.charge_mem(core, layout.states.addr(target), write=True, state=True)
-        ctx.charge_compute(core, timing.update_op)
-        return True
 
-    def _on_path_end(
-        self,
-        core: int,
-        event: PathEnd,
-        engine: Optional[DepGraphEngine],
-        root_is_hub: bool,
-    ) -> None:
-        endpoint = event.endpoint
-        if root_is_hub and self.hub_active and len(event.path) >= 2:
-            if event.reason == "boundary":
-                # A hub-rooted segment left G^m: its endpoint is a boundary
-                # member of H''^m (the H^m' set of Section III-B2) and joins
-                # H'' as a core-vertex (capped), so the segments *it* walks
-                # later become core-paths — chains of such segments let
-                # shortcut cascades cross partitions hub-to-hub.
-                self.hubsets.promote_core_vertex(endpoint)
-            if endpoint in self.hubsets and len(event.path) >= 3:
-                # Multi-hop segments between H'' vertices get hub-index
-                # entries; a single edge is already a direct dependency and
-                # is not worth an entry.
-                self._record_core_path(core, event.path, engine)
-        self._enqueue_active(core, endpoint)
+        def on_path_end(path: Tuple[int, ...], reason: str) -> None:
+            endpoint = path[-1]
+            if self._root_is_hub and len(path) >= 2:
+                if reason == "boundary":
+                    # A hub-rooted segment left G^m: its endpoint is a
+                    # boundary member of H''^m (the H^m' set of Section
+                    # III-B2) and joins H'' as a core-vertex (capped), so
+                    # the segments *it* walks later become core-paths —
+                    # chains of such segments let shortcut cascades cross
+                    # partitions hub-to-hub.
+                    hubsets.promote_core_vertex(endpoint)
+                if endpoint in hubsets and len(path) >= 3:
+                    # Multi-hop segments between H'' vertices get
+                    # hub-index entries; a single edge is already a direct
+                    # dependency and is not worth an entry.
+                    self._record_core_path(core, path, engine)
+            enqueue(core, endpoint)
+
+        return on_edge, on_path_end
 
     # ------------------------------------------------------------------
     def _record_core_path(
@@ -901,7 +869,9 @@ class _DepGraphExecution:
             tail = entry.tail
             ctx.pending[tail] = ctx.pending[tail] - influence
             ctx.charge_overhead(core, RESET_EDGE_CYCLES)
-            ctx.charge_mem(core, ctx.layout.deltas.addr(tail), write=True, state=True)
+            ctx.charge_mem(
+                core, ctx.delta_base + ctx.delta_stride * tail, True, True
+            )
 
     def _observe_learning_entries(self) -> None:
         """Learned mode: feed end-of-round (s_head, s_tail) snapshots to the

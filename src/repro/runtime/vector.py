@@ -399,30 +399,44 @@ class VectorEngine:
     ) -> np.ndarray:
         """Fold this round's per-vertex costs into the per-core clocks.
 
+        ``applied`` and ``scattering`` are sorted vertex ids.  Each
+        per-core sum is one ``np.bincount`` of a cost column over the
+        owners of those vertices, in vertex order.  The owners are
+        gathered once per side, and a side that holds every vertex (a
+        dense round) reads the columns as they are, with no gather.
+
         Returns the per-core applied-vertex counts (the batch sizes for
         span accounting).
         """
         ctx = self.ctx
         cores = ctx.num_cores
+        n = self.n
         owner = self.owner
 
-        def per_core(idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
-            return np.bincount(owner[idx], weights=weights[idx], minlength=cores)
+        def per_core(vertices: np.ndarray, *columns: np.ndarray):
+            if vertices.size == n:
+                owners = owner
+                weights = columns
+            else:
+                owners = owner[vertices]
+                weights = [column[vertices] for column in columns]
+            sums = [np.bincount(owners, weights=w, minlength=cores) for w in weights]
+            return owners, sums
 
-        compute = per_core(applied, self.apply_compute) + per_core(
-            scattering, self.scatter_compute
+        apply_owners, (a_compute, a_mem, a_state_mem, a_overhead) = per_core(
+            applied, self.apply_compute, self.apply_mem,
+            self.apply_state_mem, self.apply_overhead,
         )
+        _, (s_compute, s_mem, s_state_mem, s_overhead) = per_core(
+            scattering, self.scatter_compute, self.scatter_mem,
+            self.scatter_state_mem, self.scatter_overhead,
+        )
+        compute = a_compute + s_compute
         if self.profile.simd:
             compute = compute / ctx.timing.simd_factor
-        mem = per_core(applied, self.apply_mem) + per_core(
-            scattering, self.scatter_mem
-        )
-        state_mem = per_core(applied, self.apply_state_mem) + per_core(
-            scattering, self.scatter_state_mem
-        )
-        overhead = per_core(applied, self.apply_overhead) + per_core(
-            scattering, self.scatter_overhead
-        )
+        mem = a_mem + s_mem
+        state_mem = a_state_mem + s_state_mem
+        overhead = a_overhead + s_overhead
         total = compute + mem + overhead
         for core in range(cores):
             if total[core]:
@@ -431,7 +445,7 @@ class VectorEngine:
                 ctx.mem[core] += float(mem[core])
                 ctx.state_mem[core] += float(state_mem[core])
                 ctx.overhead[core] += float(overhead[core])
-        return np.bincount(owner[applied], minlength=cores)
+        return np.bincount(apply_owners, minlength=cores)
 
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:

@@ -175,8 +175,9 @@ class ClusterService:
         self.batcher: Batcher[ServeRequest] = Batcher()
         self.now_cycles = 0.0
         self._next_request_id = 0
+        #: every completed latency, kept for the exact quantiles; the
+        #: responses themselves go back to the caller and are not kept
         self._latencies: List[float] = []
-        self._responses: List[ServeResponse] = []
         #: lineage -> pinned worker slot (first routing decision wins)
         self._routed: Dict[Tuple[str, ParamsKey], str] = {}
 
@@ -273,7 +274,6 @@ class ClusterService:
                 request_id, STATUS_SHED_QUEUE,
                 completed_cycles=self.now_cycles,
             )
-            self._responses.append(response)
             return response
         resolved = self.store.latest_version if version is None else version
         self.store.get(resolved)  # validate
@@ -337,10 +337,12 @@ class ClusterService:
     # ------------------------------------------------------------------
     def drain(self) -> List[ServeResponse]:
         """Dispatch every pending batch; returns the new responses."""
-        first = len(self._responses)
-        while self.dispatch_next() is not None:
-            pass
-        return self._responses[first:]
+        responses: List[ServeResponse] = []
+        while True:
+            batch = self.dispatch_next()
+            if batch is None:
+                return responses
+            responses.extend(batch)
 
     def dispatch_next(self) -> Optional[List[ServeResponse]]:
         """Route + execute the oldest pending batch; ``None`` when idle."""
@@ -348,7 +350,7 @@ class ClusterService:
         if batch is None:
             return None
         key, group = batch
-        first = len(self._responses)
+        responses: List[ServeResponse] = []
         metrics = self.metrics
 
         lineage = key.lineage()
@@ -369,7 +371,7 @@ class ClusterService:
             waited = start - request.enqueued_at
             if waited > request.deadline_cycles:
                 metrics.inc("cluster.shed_deadline")
-                self._responses.append(
+                responses.append(
                     ServeResponse(
                         request.request_id,
                         STATUS_SHED_DEADLINE,
@@ -391,7 +393,7 @@ class ClusterService:
                 latency = completion - request.enqueued_at
                 self._latencies.append(latency)
                 metrics.observe("cluster.latency_cycles", latency)
-                self._responses.append(
+                responses.append(
                     ServeResponse(
                         request.request_id,
                         STATUS_OK,
@@ -406,7 +408,7 @@ class ClusterService:
                         summary=reply["summary"],
                     )
                 )
-        return self._responses[first:]
+        return responses
 
     def _execute(self, worker: str, key: QueryKey, label: str) -> dict:
         """Execute one batch with restart + requeue on worker death."""
@@ -443,9 +445,6 @@ class ClusterService:
     @property
     def cache(self) -> _ClusterCacheView:
         return _ClusterCacheView(self)
-
-    def responses(self) -> List[ServeResponse]:
-        return list(self._responses)
 
     def latency_quantile(self, q: float) -> float:
         """Exact nearest-rank quantile of completed-request latency."""

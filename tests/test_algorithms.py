@@ -200,3 +200,59 @@ class TestRegistry:
             "sssp",
             "wcc",
         }
+
+
+class TestDivergence:
+    """A sum-type run whose states overflow is reported as diverged."""
+
+    @pytest.fixture(scope="class")
+    def gl(self):
+        from repro.graph import datasets
+
+        return datasets.load("GL", scale=0.1)
+
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_katz_default_attenuation_diverges_on_gl(self, gl, backend):
+        import warnings
+
+        import numpy as np
+
+        from repro import runtime
+        from repro.hardware import HardwareConfig
+
+        with warnings.catch_warnings():
+            # the vector backend's folds overflow on the way to inf
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = runtime.run(
+                "depgraph-h", gl, algorithms.make("katz"),
+                HardwareConfig.scaled(num_cores=8), backend=backend,
+            )
+        assert not np.isfinite(result.states).all()
+        assert result.converged is False
+
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_katz_small_attenuation_converges_on_gl(self, gl, backend):
+        import numpy as np
+
+        from repro import runtime
+        from repro.hardware import HardwareConfig
+
+        result = runtime.run(
+            "depgraph-h", gl, algorithms.make("katz", attenuation=0.01),
+            HardwareConfig.scaled(num_cores=8), backend=backend,
+        )
+        assert np.isfinite(result.states).all()
+        assert result.converged is True
+
+    def test_min_type_inf_states_still_converge(self):
+        from repro import runtime
+        from repro.hardware import HardwareConfig
+
+        # vertex 2 is unreachable from the source: its distance stays inf
+        g = CSRGraph.from_edges(3, [(0, 1), (2, 0)], weights=[1.0, 1.0])
+        result = runtime.run(
+            "depgraph-h", g, algorithms.make("sssp", source=0),
+            HardwareConfig.scaled(num_cores=2),
+        )
+        assert math.isinf(result.states[2])
+        assert result.converged is True

@@ -11,11 +11,13 @@ builder.
 """
 
 import asyncio
+import gc
 import json
 import socket
 import threading
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
 
@@ -182,6 +184,33 @@ class TestClusterDeterminism:
                 spans[workers] = service.makespan_cycles
         # the pool overlaps engine runs: strictly shorter makespan
         assert spans[4] < spans[1]
+
+
+class TestResponseLifetime:
+    def test_dispatcher_keeps_no_response(self, tmp_path):
+        # a long-running server must not grow with every answered query:
+        # once the caller drops a response, nothing else holds it
+        with make_cluster(tmp_path) as service:
+            service.submit("sssp", {"source": 0})
+            responses = service.drain()
+            assert [r.ok for r in responses] == [True]
+            ref = weakref.ref(responses[0])
+            del responses
+            gc.collect()
+            assert ref() is None
+            # the exact latency quantiles survive without the responses
+            assert service.latency_quantile(0.5) > 0.0
+
+    def test_shed_response_not_kept(self, tmp_path):
+        with make_cluster(tmp_path, queue_limit=1) as service:
+            service.submit("sssp", {"source": 0})
+            shed = service.submit("wcc", {})
+            assert not isinstance(shed, int) and not shed.ok
+            ref = weakref.ref(shed)
+            del shed
+            gc.collect()
+            assert ref() is None
+            assert [r.ok for r in service.drain()] == [True]
 
 
 class TestFaultHandling:

@@ -1,7 +1,5 @@
 """Tests for the DepGraph engine timeline model."""
 
-import pytest
-
 from repro.accel.depgraph.engine import (
     DepGraphEngine,
     ENGINE_MLP,
@@ -28,7 +26,7 @@ def make_engine(buffer_capacity=4, stack_depth=10):
 class TestEngineTimeline:
     def test_fetch_advances_time_pipelined(self):
         engine = make_engine()
-        engine._charge_fetch("offset", 0)
+        engine.fetch(engine.layout.offsets.addr(0))
         # pipelined: issue + latency / MLP, far less than the raw latency
         raw = engine.memsys.access(1, engine.layout.offsets.addr(64))
         assert engine.time < raw + ISSUE_CYCLES
@@ -36,7 +34,7 @@ class TestEngineTimeline:
 
     def test_state_fetch_covers_both_arrays(self):
         engine = make_engine()
-        engine._charge_fetch("state", 3)
+        engine.fetch_state(3)
         # states AND deltas lines installed -> core hits privately
         state_line = engine.layout.states.addr(3)
         delta_line = engine.layout.deltas.addr(3)
@@ -53,12 +51,12 @@ class TestEngineTimeline:
 
     def test_fifo_window_throttles_engine(self):
         engine = make_engine(buffer_capacity=2)
-        engine._charge_fetch("offset", 0)
-        engine._charge_fetch("offset", 8)
+        engine.fetch(engine.layout.offsets.addr(0))
+        engine.fetch(engine.layout.offsets.addr(8))
         # the core is far behind: consumes at t=10000, 20000
         engine.note_consumed(10000.0)
         engine.note_consumed(20000.0)
-        engine._charge_fetch("offset", 16)
+        engine.fetch(engine.layout.offsets.addr(16))
         # third fetch had to wait for the first consumption
         assert engine.time >= 10000.0
         assert engine.stall_cycles > 0
@@ -80,11 +78,6 @@ class TestEngineTimeline:
         t2 = engine.time
         assert t1 > t0  # hash probe alone costs something
         assert t2 - t1 > 0
-
-    def test_unknown_fetch_kind(self):
-        engine = make_engine()
-        with pytest.raises(ValueError):
-            engine._charge_fetch("mystery", 0)
 
     def test_mlp_constant_sane(self):
         assert 1 <= ENGINE_MLP <= 16

@@ -1,5 +1,7 @@
 """Tests for the HDTL traversal walker, the edge buffer, and the queue."""
 
+from typing import NamedTuple, Tuple
+
 import pytest
 
 from repro.accel.depgraph.edge_buffer import (
@@ -7,28 +9,68 @@ from repro.accel.depgraph.edge_buffer import (
     FIFOEdgeBuffer,
     PrefetchedEdge,
 )
-from repro.accel.depgraph.hdtl import HDTL, EdgeFetch, PathEnd
+from repro.accel.depgraph.hdtl import HDTL
 from repro.accel.depgraph.queue import LocalCircularQueue
 from repro.graph.csr import CSRGraph
+from repro.hardware.layout import MemoryLayout
+
+
+class EdgeFetch(NamedTuple):
+    """One ``on_edge`` call, recorded."""
+
+    source: int
+    target: int
+    weight: float
+    depth: int
+
+
+class PathEnd(NamedTuple):
+    """One ``on_path_end`` call, recorded."""
+
+    path: Tuple[int, ...]
+    reason: str
+
+    @property
+    def endpoint(self) -> int:
+        return self.path[-1]
 
 
 def drive(walker, root, visited, descend_all=True, decider=None):
-    """Run a traversal, collecting events; descend decisions come from
-    ``decider(event)`` or default to descend-everything."""
+    """Run a traversal, recording every handler call in order; descend
+    decisions come from ``decider(event)`` or default to
+    descend-everything."""
     events = []
-    gen = walker.traverse(root, visited)
-    response = None
-    while True:
-        try:
-            event = gen.send(response) if response is not None else next(gen)
-        except StopIteration:
-            break
+
+    def on_edge(source, target, weight, depth):
+        event = EdgeFetch(source, target, weight, depth)
         events.append(event)
-        if isinstance(event, EdgeFetch):
-            response = decider(event) if decider else descend_all
-        else:
-            response = False
+        return decider(event) if decider else descend_all
+
+    def on_path_end(path, reason):
+        events.append(PathEnd(path, reason))
+
+    walker.traverse(root, visited, on_edge, on_path_end)
     return events
+
+
+class RecordingPort:
+    """A fetch port that records the HDTL stage of every fetch."""
+
+    def __init__(self, layout):
+        self.regions = {
+            "offset": layout.offsets,
+            "neighbor": layout.targets,
+            "weight": layout.weights,
+        }
+        self.kinds = []
+
+    def fetch(self, addr):
+        for kind, region in self.regions.items():
+            if region.base <= addr < region.end:
+                self.kinds.append(kind)
+
+    def fetch_state(self, vertex):
+        self.kinds.append("state")
 
 
 def chain(n):
@@ -67,10 +109,6 @@ class TestHDTLTraversal:
         edges = [(e.source, e.target) for e in events if isinstance(e, EdgeFetch)]
         assert (3, 4) not in edges
 
-    def test_hub_path_endpoint_property(self):
-        end = PathEnd((0, 1, 5), "hub")
-        assert end.endpoint == 5
-
     def test_stack_depth_splits_chain(self):
         g = chain(10)
         walker = HDTL(g, lambda v: False, stack_depth=3)
@@ -102,7 +140,8 @@ class TestHDTLTraversal:
 
     def test_partition_boundary(self):
         g = chain(6)
-        walker = HDTL(g, lambda v: False, in_partition=lambda v: v < 3)
+        walker = HDTL(g, lambda v: False)
+        walker.confine(0, 3)
         events = drive(walker, 0, set())
         ends = [e for e in events if isinstance(e, PathEnd)]
         assert len(ends) == 1
@@ -111,9 +150,11 @@ class TestHDTLTraversal:
 
     def test_fetch_callback_kinds(self):
         g = CSRGraph.from_edges(3, [(0, 1), (1, 2)], weights=[1.0, 2.0])
-        fetched = []
-        walker = HDTL(g, lambda v: False, fetch=lambda k, i: fetched.append(k))
+        layout = MemoryLayout(g, 1)
+        port = RecordingPort(layout)
+        walker = HDTL(g, lambda v: False, port=port, layout=layout)
         drive(walker, 0, set())
+        fetched = port.kinds
         assert "offset" in fetched
         assert "neighbor" in fetched
         assert "weight" in fetched
