@@ -33,6 +33,9 @@ import urllib.request
 HOST = "127.0.0.1"
 WORKERS = 2
 STARTUP_TIMEOUT = 120.0
+#: seconds teardown waits for the server after SIGINT, and again after
+#: killing its process group
+STOP_TIMEOUT = 20.0
 LISTEN_RE = re.compile(r"listening on http://([\d.]+):(\d+)")
 
 QUERIES = (
@@ -57,15 +60,34 @@ def request(base: str, method: str, path: str, body: dict | None = None):
         return err.code, json.loads(err.read().decode())
 
 
+def stop(proc: subprocess.Popen) -> str:
+    """Stop the server and return its remaining output, never hanging.
+
+    The server runs in its own session: SIGINT asks it to shut down;
+    if it has not exited in time, SIGKILL goes to the whole process
+    group, so spawned workers orphaned by the server's death release
+    the stdout pipe too.  Every wait is bounded.
+    """
+    out = ""
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGINT)
+    try:
+        out, _ = proc.communicate(timeout=STOP_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        try:
+            out, _ = proc.communicate(timeout=STOP_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            print("WARN: server output pipe still open after killing its group")
+    return out or ""
+
+
 def fail(proc: subprocess.Popen, message: str) -> int:
     print(f"FAIL: {message}")
-    proc.send_signal(signal.SIGINT)
-    try:
-        out, _ = proc.communicate(timeout=15)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        out, _ = proc.communicate()
-    sys.stdout.write(out or "")
+    sys.stdout.write(stop(proc))
     return 1
 
 
@@ -93,6 +115,7 @@ def main() -> int:
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
 
     # wait for the ephemeral port announcement
@@ -179,13 +202,7 @@ def main() -> int:
         if snapshot["obs.serve.warm_runs"] < warm:
             return fail(proc, "aggregated warm_runs below observed warm runs")
     finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGINT)
-            try:
-                proc.communicate(timeout=20)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.communicate()
+        stop(proc)
 
     print(
         f"cluster smoke OK: {sent} queries over HTTP, {hits} cache hits, "

@@ -422,8 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster_p.add_argument(
         "--spool-dir",
         default=None,
-        help="directory for store snapshots + the shared baseline spool "
-        "(default: a fresh temp dir)",
+        help="parent directory of the cluster's own spool (store snapshots "
+        "+ the shared baseline spool; removed on exit; default: the temp dir)",
     )
 
     sub.add_parser("list", help="list systems, algorithms, datasets")

@@ -14,7 +14,7 @@ each level it
   per-edge Python dispatch is exactly what stops scaling, and the sweep
   shows where;
 * **probes the serving tier** via the real cluster worker-spool path
-  (:class:`repro.serve.cluster.worker.WorkerCore` loading a persisted
+  (:class:`repro.serve.service.WorkerCore` mapping a saved
   :class:`GraphStore` with ``mmap=True``);
 * **checks bit-identity** at the smallest level: the mmap'd narrow run
   and an in-RAM ``int64`` run of the same backend must produce
@@ -244,7 +244,8 @@ def _child_serve(payload: dict) -> dict:
     GraphStore, load it back mmap'd as a cluster worker would, answer
     one query."""
     from ..graph import io as graph_io
-    from ..serve.cluster.worker import WorkerConfig, WorkerCore
+    from ..serve.config import ServeConfig
+    from ..serve.service import WorkerCore
     from ..serve.store import GraphStore
 
     baseline = _peak_rss_kb()
@@ -253,16 +254,13 @@ def _child_serve(payload: dict) -> dict:
     store = GraphStore(graph)
     store.save(payload["store_dir"])
     del store, graph
-    config = WorkerConfig(
-        name="scale-probe",
-        store_dir=payload["store_dir"],
+    config = ServeConfig(
         system=payload["system"],
         cores=payload["cores"],
         backend="vector",
         max_rounds=payload["max_rounds"],
-        mmap=True,
     )
-    core = WorkerCore(config)
+    core = WorkerCore(config, GraphStore.load(payload["store_dir"], mmap=True))
     reply = core.execute(SWEEP_ALGORITHM, {}, version=0)
     wall_ms = (time.perf_counter() - started) * 1e3
     loaded = core.store.latest.graph

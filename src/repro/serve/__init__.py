@@ -14,7 +14,8 @@ one cold batch run per CLI invocation:
   identical queries plus a version-keyed LRU over completed runs.
 * :class:`GraphService` — admission control (bounded queue, deterministic
   reject-new shed, per-request deadlines in simulated cycles), metrics
-  under ``obs.serve.*``.
+  under ``obs.serve.*``; it and the cluster share one dispatcher core
+  and one worker core (:mod:`repro.serve.service`).
 * ``python -m repro serve-bench`` — the seeded replay harness
   (:mod:`repro.serve.bench`).
 * ``python -m repro traffic`` — the open/closed-loop traffic generator
@@ -37,7 +38,7 @@ rules, and the counter glossary.
 
 from .batching import Batcher, ResultCache
 from .cluster import ClusterHTTPServer, ClusterService, RoutingTable, WorkerDied
-from .config import build_serve_config, compare_states, summarize_states
+from .config import ServeConfig, build_serve_config, compare_states, summarize_states
 from .engine import EngineRun, QueryEngine, QueryKey, canonical_params
 from .traffic import (
     LevelStats,
@@ -56,7 +57,6 @@ from .service import (
     STATUS_SHED_DEADLINE,
     STATUS_SHED_QUEUE,
     GraphService,
-    ServeConfig,
     ServeRequest,
     ServeResponse,
 )

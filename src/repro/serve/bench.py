@@ -28,9 +28,9 @@ import numpy as np
 from ..experiments.common import ExperimentTable
 from ..graph import datasets
 from ..observe import MetricRegistry
-from .config import SUM_STATE_TOLERANCE, build_serve_config, compare_states
+from .config import SUM_STATE_TOLERANCE, ServeConfig, build_serve_config, compare_states
 from .engine import QueryEngine
-from .service import GraphService, ServeConfig
+from .service import GraphService
 from .store import GraphDelta
 
 
@@ -135,6 +135,7 @@ def run_bench(
         else None
     )
     verified: set = set()
+    answered = 0
 
     for _ in range(config.slots):
         if rng.random() < 0.35:
@@ -154,10 +155,11 @@ def run_bench(
             for _ in range(config.queue_limit + 4):
                 service.submit(flood_algo)
         responses = service.drain()
+        answered += sum(1 for r in responses if r.ok)
         if control is not None:
             _verify_warm_runs(responses, control, verification, verified)
 
-    return _render(config, service, verification), service, verification
+    return _render(config, service, verification, answered), service, verification
 
 
 def _verify_warm_runs(
@@ -193,14 +195,16 @@ def _verify_warm_runs(
 
 
 def _render(
-    config: BenchConfig, service: GraphService, verification: WarmVerification
+    config: BenchConfig,
+    service: GraphService,
+    verification: WarmVerification,
+    ok: int,
 ) -> ExperimentTable:
     counters = service.metrics_snapshot()
 
     def c(name: str) -> float:
         return counters.get(f"obs.serve.{name}", 0.0)
 
-    ok = sum(1 for r in service.responses() if r.ok)
     throughput = (
         ok / (service.now_cycles / 1e6) if service.now_cycles else 0.0
     )

@@ -1,13 +1,14 @@
-"""Cluster workers: one warm :class:`QueryEngine` per worker slot.
+"""Cluster workers: one warm :class:`WorkerCore` per worker slot.
 
 A worker hosts exactly the serving state that must stay *hot* to answer
 queries fast — the warm-start baselines of the lineages routed to it,
 the per-version :class:`VertexOrdering` cache inside its engine, and a
 bounded LRU :class:`ResultCache` — plus its own zero-seeded
 ``serve.*`` :class:`MetricRegistry`, aggregated cluster-wide by the
-dispatcher (see :func:`repro.observe.aggregate_metrics`).
-
-Two transports host the same :class:`WorkerCore`:
+dispatcher (see :func:`repro.observe.aggregate_metrics`).  The core
+itself lives in :mod:`repro.serve.service`, where the single service
+hosts one inline; this module holds the two transports that host it
+for the cluster:
 
 * :class:`InlineWorkerClient` runs the core in the dispatcher's own
   process, *sharing* the authoritative :class:`GraphStore` object.
@@ -15,11 +16,12 @@ Two transports host the same :class:`WorkerCore`:
   experiment use it, and repeat same-seed runs are bit-identical.
 * :class:`ProcessWorkerClient` runs the core in a spawned OS process
   (``multiprocessing`` spawn context — no fork-inherited state, safe
-  under threads) with command/reply queues.  The worker builds its own
-  *replica* store from a persisted snapshot
-  (:meth:`GraphStore.save` / :meth:`GraphStore.load`) and keeps it in
-  sync by replaying every broadcast delta; commands and replies are
-  picklable primitives only.
+  under threads) with command/reply queues.  The worker maps its
+  *replica* store from the dispatcher's saved copy
+  (:meth:`GraphStore.save` / :meth:`GraphStore.load` with ``mmap=True``;
+  every process worker maps the same directory) and keeps it in sync by
+  replaying every broadcast delta; commands and replies are picklable
+  primitives only.
 
 Worker death is a first-class event, not an exception path: any call on
 a dead process raises :class:`WorkerDied` and the dispatcher restarts
@@ -35,16 +37,11 @@ import multiprocessing
 import queue as queue_mod
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from ...hardware.config import HardwareConfig
-from ...observe import MetricRegistry
-from ..batching import ResultCache
-from ..config import summarize_states
-from ..engine import EngineRun, QueryEngine, QueryKey, canonical_params
-from ..service import CACHE_HIT_CYCLES, SERVE_COUNTER_FAMILY, ServeConfig
-from ..store import GraphDelta, GraphStore
-from ..warmstart import FALLBACK_NO_BASELINE
+from ..config import ServeConfig
+from ..service import WorkerCore
+from ..store import GraphStore
 
 
 class WorkerDied(RuntimeError):
@@ -53,164 +50,15 @@ class WorkerDied(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a worker needs to build its core — picklable
-    primitives only, because the spawn transport ships it to the child
-    process as the sole constructor argument."""
+    """Everything a worker needs to build its core — picklable, because
+    the spawn transport ships it to the child process as the sole
+    constructor argument."""
 
     name: str
-    #: persisted-store directory the worker loads its replica from
+    serve: ServeConfig
+    #: saved-store directory a process worker maps its replica from
     #: (``None`` for inline workers, which share the dispatcher's store)
     store_dir: Optional[str] = None
-    system: str = "depgraph-h"
-    cores: int = 8
-    warm: bool = True
-    max_rounds: int = 4000
-    steal_policy: str = "auto"
-    reorder: str = "identity"
-    backend: str = "scalar"
-    cache_capacity: int = 128
-    #: shared cross-engine baseline spool (restart/fork warmth)
-    baseline_dir: Optional[str] = None
-    #: sum-type drift re-anchor cadence (see ``ServeConfig``)
-    sum_reanchor_every: int = 6
-    #: open the replica's base snapshot mmap'd (see ``GraphStore.load``)
-    mmap: bool = False
-
-    @classmethod
-    def from_serve(
-        cls,
-        name: str,
-        serve: ServeConfig,
-        store_dir: Optional[str] = None,
-        baseline_dir: Optional[str] = None,
-    ) -> "WorkerConfig":
-        return cls(
-            name=name,
-            store_dir=store_dir,
-            system=serve.system,
-            cores=serve.cores,
-            warm=serve.warm,
-            max_rounds=serve.max_rounds,
-            steal_policy=serve.steal_policy,
-            reorder=serve.reorder,
-            backend=serve.backend,
-            cache_capacity=serve.cache_capacity,
-            baseline_dir=baseline_dir or serve.baseline_dir,
-            sum_reanchor_every=serve.sum_reanchor_every,
-            mmap=serve.mmap_store,
-        )
-
-
-class WorkerCore:
-    """The per-worker serving state, transport-agnostic.
-
-    The core is ``GraphService`` minus admission/batching/clocking —
-    those live in the dispatcher, which owns the cluster-wide simulated
-    clock.  ``execute`` returns a picklable reply dict; ``cycles`` is
-    the simulated cost the dispatcher charges to this worker's
-    ``busy_until`` clock.
-    """
-
-    def __init__(
-        self, config: WorkerConfig, store: Optional[GraphStore] = None
-    ) -> None:
-        self.config = config
-        if store is None:
-            if config.store_dir is None:
-                raise ValueError(
-                    "WorkerCore needs a shared store or a store_dir"
-                )
-            store = GraphStore.load(config.store_dir, mmap=config.mmap)
-        self.store = store
-        self.engine = QueryEngine(
-            store,
-            system=config.system,
-            hardware=HardwareConfig.scaled(num_cores=config.cores),
-            warm=config.warm,
-            max_rounds=config.max_rounds,
-            reorder=config.reorder,
-            baseline_dir=config.baseline_dir,
-            sum_reanchor_every=config.sum_reanchor_every,
-            steal_policy=config.steal_policy,
-            backend=config.backend,
-        )
-        self.cache: ResultCache[EngineRun] = ResultCache(config.cache_capacity)
-        self.metrics = MetricRegistry()
-        for name in SERVE_COUNTER_FAMILY:
-            self.metrics.inc(name, 0.0)
-
-    # ------------------------------------------------------------------
-    def execute(
-        self, algorithm: str, params: Optional[dict], version: int
-    ) -> Dict[str, Any]:
-        """Answer one coalesced batch; the warm/cold/cache accounting
-        mirrors ``GraphService._dispatch`` so single-service and cluster
-        ``serve.*`` counters compare key-for-key."""
-        key = QueryKey(algorithm, canonical_params(params), version)
-        metrics = self.metrics
-        run = self.cache.get(key)
-        cache_hit = run is not None
-        if cache_hit:
-            metrics.inc("serve.cache_hits")
-            cycles = CACHE_HIT_CYCLES
-        else:
-            metrics.inc("serve.cache_misses")
-            run = self.engine.execute(algorithm, dict(params or {}), version)
-            self.cache.put(key, run)
-            cycles = run.cycles
-            metrics.inc("serve.engine_runs")
-            metrics.observe("serve.run_cycles", run.cycles)
-            if run.warm:
-                metrics.inc("serve.warm_runs")
-                metrics.inc("serve.warm_updates", run.updates)
-                metrics.observe("serve.warm_seeded", run.seeded)
-                if run.inherited:
-                    metrics.inc("serve.baseline_inherited")
-            else:
-                metrics.inc("serve.cold_runs")
-                metrics.inc("serve.cold_updates", run.updates)
-                if (
-                    run.fallback_reason
-                    and run.fallback_reason != FALLBACK_NO_BASELINE
-                ):
-                    metrics.inc("serve.warm_fallbacks")
-        return {
-            "cycles": float(cycles),
-            "cache_hit": cache_hit,
-            "warm": run.warm,
-            "inherited": run.inherited,
-            "fallback_reason": run.fallback_reason,
-            "updates": int(run.updates),
-            "seeded": int(run.seeded),
-            "summary": summarize_states(run.result.states),
-        }
-
-    def apply_delta(self, delta: GraphDelta) -> int:
-        """Apply one broadcast delta to the replica store; returns the
-        new version id (the dispatcher asserts it matches its own)."""
-        version = self.store.apply(delta)
-        self.metrics.set("serve.version", version.version)
-        return version.version
-
-    def compact(self, keep_last: int) -> int:
-        return self.store.compact(keep_last)
-
-    def metrics_snapshot(self) -> Dict[str, float]:
-        return self.metrics.as_dict()
-
-    # ------------------------------------------------------------------
-    def handle(self, command: Tuple) -> Any:
-        """Execute one transport command tuple."""
-        op = command[0]
-        if op == "execute":
-            return self.execute(command[1], command[2], command[3])
-        if op == "update":
-            return self.apply_delta(GraphDelta.from_dict(command[1]))
-        if op == "compact":
-            return self.compact(command[1])
-        if op == "metrics":
-            return self.metrics_snapshot()
-        raise ValueError(f"unknown worker command {op!r}")
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +78,7 @@ class InlineWorkerClient:
     def __init__(self, config: WorkerConfig, store: GraphStore) -> None:
         self.name = config.name
         self.config = config
-        self._core = WorkerCore(config, store=store)
+        self._core = WorkerCore(config.serve, store)
         self._dead = False
 
     @property
@@ -257,7 +105,7 @@ def _worker_main(config: WorkerConfig, commands, replies) -> None:
     worker-side exception surfaces at the dispatcher instead of hanging
     the reply queue.
     """
-    core = WorkerCore(config)
+    core = WorkerCore(config.serve, GraphStore.load(config.store_dir, mmap=True))
     replies.put(("ready", config.name))
     while True:
         command = commands.get()

@@ -1,6 +1,8 @@
 """Shared serving-configuration plumbing.
 
-``serve-bench`` (:mod:`repro.serve.bench`), the traffic harness
+:class:`ServeConfig` holds the knobs of one serving tier; the single
+service, the cluster dispatcher and every cluster worker read the same
+frozen instance.  ``serve-bench`` (:mod:`repro.serve.bench`), the traffic harness
 (:mod:`repro.serve.traffic`), and the cluster dispatcher
 (:mod:`repro.serve.cluster`) all own a frozen config dataclass carrying
 the same serving knobs — system, cores, queue limit, cache capacity,
@@ -12,13 +14,15 @@ cold state comparison) by hand; :func:`build_serve_config` and
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..algorithms import make as make_algorithm
 from ..algorithms.detect import AccumKind, detect_accum_kind
-from .service import ServeConfig
+from ..hardware.config import HardwareConfig
 
 #: warm-vs-cold agreement bound for sum-type accumulators: 2x the
 #: established cross-schedule spread (TestSchedulingEquivalence's 1e-3).
@@ -27,6 +31,44 @@ from .service import ServeConfig
 #: initial conditions), so their residual errors add — |warm - exact| +
 #: |cold - exact| <= 2x the single-run bound.
 SUM_STATE_TOLERANCE = 2e-3
+
+
+@dataclass(frozen=True)
+class ServeConfig:
+    """Operating knobs for one serving tier (single service or cluster)."""
+
+    system: str = "depgraph-h"
+    cores: int = 8
+    #: admission bound: pending requests beyond this are shed
+    queue_limit: int = 64
+    #: LRU result-cache capacity, in completed runs
+    cache_capacity: int = 128
+    #: default per-request deadline, in simulated cycles from admission
+    default_deadline_cycles: float = math.inf
+    #: enable warm-start incremental recomputation
+    warm: bool = True
+    max_rounds: int = 4000
+    steal_policy: str = "auto"
+    #: vertex ordering for every engine run (see :mod:`repro.graph.reorder`);
+    #: the engine resolves it once per snapshot version and reuses it
+    reorder: str = "identity"
+    #: execution backend for every engine run (``scalar`` or ``vector``,
+    #: see :mod:`repro.runtime.vector`); answers must agree across
+    #: backends under the usual accumulator-kind tolerance rules
+    backend: str = "scalar"
+    #: cross-engine baseline spool: converged baselines are checkpointed
+    #: here and inherited by engines that never ran the lineage (forked
+    #: services, restarted cluster workers) — see ``serve.engine``
+    baseline_dir: Optional[str] = None
+    #: re-anchor a sum-type lineage cold after this many consecutive warm
+    #: runs: warm sum-type runs are epsilon-fixpoints seeded from the
+    #: previous warm result, so residual error compounds along an
+    #: unbroken warm chain; the periodic cold run bounds the drift well
+    #: inside ``SUM_STATE_TOLERANCE`` (0 disables)
+    sum_reanchor_every: int = 6
+
+    def hardware(self) -> HardwareConfig:
+        return HardwareConfig.scaled(num_cores=self.cores)
 
 #: the ServeConfig fields a harness config may carry; missing attributes
 #: fall back to the ServeConfig default (see :func:`build_serve_config`)
@@ -41,7 +83,6 @@ _SHARED_FIELDS = (
     "max_rounds",
     "baseline_dir",
     "sum_reanchor_every",
-    "mmap_store",
 )
 
 

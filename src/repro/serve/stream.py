@@ -60,11 +60,11 @@ import numpy as np
 
 from ..graph import datasets
 from ..graph.stream import EdgeEvent, LiveEdgeSet, generate_edge_events
-from .cluster.dispatch import ClusterService
+from .cluster.dispatch import make_service
 from .config import build_serve_config
-from .service import GraphService, ServeResponse
+from .service import ServeResponse, nearest_rank, warm_run_share
 from .store import GraphDelta
-from .traffic import QuerySpec, _quantile
+from .traffic import QuerySpec
 
 #: counters zero-seeded into every stream run so the ``obs.stream.*``
 #: family reports the same key set from every run (the
@@ -299,7 +299,7 @@ class StreamStats:
         return self.events / (self.sim_cycles / 1e6) if self.sim_cycles else 0.0
 
     def staleness_quantile(self, q: float) -> float:
-        return _quantile(self.staleness, q)
+        return nearest_rank(self.staleness, q)
 
     def counter(self, name: str) -> float:
         return self.counters.get(name, 0.0)
@@ -313,8 +313,7 @@ class StreamStats:
 
     @property
     def warm_share(self) -> float:
-        runs = self.counter("obs.serve.engine_runs")
-        return self.counter("obs.serve.warm_runs") / runs if runs else 0.0
+        return warm_run_share(self.counters)
 
 
 # ----------------------------------------------------------------------
@@ -335,15 +334,9 @@ class StreamRun:
             mean_gap_cycles=config.mean_gap_cycles,
             mix=config.event_mix,
         )
-        if config.workers >= 1:
-            self.service = ClusterService(
-                graph,
-                config.serve_config(warm),
-                workers=config.workers,
-                transport=config.transport,
-            )
-        else:
-            self.service = GraphService(graph, config.serve_config(warm))
+        self.service = make_service(
+            graph, config.serve_config(warm), config.workers, config.transport
+        )
         self._live = LiveEdgeSet(graph)
         self._chain: List[Tuple[int, GraphDelta]] = []
         self.stats = StreamStats(config.cadence, config.window, warm)
@@ -370,10 +363,7 @@ class StreamRun:
 
     def _compact(self) -> None:
         service = self.service
-        if isinstance(service, ClusterService):
-            pruned = service.compact(self.config.keep_last)
-        else:
-            pruned = service.store.compact(self.config.keep_last)
+        pruned = service.compact(self.config.keep_last)
         if pruned:
             self.stats.compactions += 1
             service.metrics.inc("stream.compactions")
@@ -448,9 +438,7 @@ class StreamRun:
         stats = self.stats
         service = self.service
         metrics = service.metrics
-        stats.sim_cycles = getattr(
-            service, "makespan_cycles", service.now_cycles
-        )
+        stats.sim_cycles = service.makespan_cycles
         stats.chain_sha = chain_digest(self._chain)
         metrics.set("stream.sim_cycles", stats.sim_cycles)
         metrics.set("stream.updates_per_mcycle", stats.updates_per_mcycle)
@@ -460,15 +448,9 @@ class StreamRun:
         metrics.set(
             "stream.staleness_p95_cycles", stats.staleness_quantile(0.95)
         )
-        snapshot = service.metrics_snapshot()
-        engine_runs = snapshot.get("obs.serve.engine_runs", 0.0)
-        warm_runs = snapshot.get("obs.serve.warm_runs", 0.0)
-        metrics.set(
-            "stream.warm_share", warm_runs / engine_runs if engine_runs else 0.0
-        )
+        metrics.set("stream.warm_share", warm_run_share(service.metrics_snapshot()))
         stats.counters = service.metrics_snapshot()
-        if isinstance(service, ClusterService):
-            service.close()
+        service.close()
         return stats
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,9 +46,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.common import ExperimentTable
 from ..graph import datasets
-from .cluster.dispatch import ClusterService
-from .config import build_serve_config
-from .service import GraphService, ServeConfig, ServeResponse
+from .cluster.dispatch import make_service
+from .config import ServeConfig, build_serve_config
+from .service import ServeResponse, nearest_rank, warm_run_share
 from .store import GraphDelta
 
 #: counters zero-seeded into every harness run so the ``obs.traffic.*``
@@ -221,15 +220,6 @@ class TrafficConfig:
         }
 
 
-def _quantile(values: Sequence[float], q: float) -> float:
-    """Exact nearest-rank quantile (the service's formula)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[rank]
-
-
 @dataclass
 class LevelStats:
     """Everything one harness run measured at one load level."""
@@ -255,7 +245,7 @@ class LevelStats:
         return self.shed / self.arrivals if self.arrivals else 0.0
 
     def latency_quantile(self, q: float) -> float:
-        return _quantile(self.latencies, q)
+        return nearest_rank(self.latencies, q)
 
     def counter(self, name: str) -> float:
         return self.counters.get(name, 0.0)
@@ -265,7 +255,7 @@ class LevelStats:
 # The harness: one service driven by one arrival process.
 # ----------------------------------------------------------------------
 class TrafficRun:
-    """Drives one :class:`GraphService` through one load level.
+    """Drives one service (single or cluster) through one load level.
 
     The run owns three seeded generators — query-spec draws, client
     timing (think times, staggered starts), and the mutation process —
@@ -283,15 +273,9 @@ class TrafficRun:
         self.time_rng = random.Random(label + "/time")
         self.mut_rng = random.Random(label + "/mutations")
         graph = datasets.load(config.dataset, scale=config.scale)
-        if config.workers >= 1:
-            self.service = ClusterService(
-                graph,
-                config.serve_config(warm),
-                workers=config.workers,
-                transport=config.transport,
-            )
-        else:
-            self.service = GraphService(graph, config.serve_config(warm))
+        self.service = make_service(
+            graph, config.serve_config(warm), config.workers, config.transport
+        )
         self.catalog = default_catalog(config.algorithms)
         self.zipf = ZipfChooser(len(self.catalog), config.zipf_s)
         self.stats = LevelStats(config.mode, level, warm)
@@ -448,23 +432,16 @@ class TrafficRun:
         stats = self.stats
         service = self.service
         metrics = service.metrics
-        # the cluster's span runs to its busiest worker's clock, not the
-        # dispatcher's; the single service has no separate worker clocks
-        stats.sim_cycles = getattr(
-            service, "makespan_cycles", service.now_cycles
-        )
+        # the cluster's span runs to its busiest worker's clock
+        stats.sim_cycles = service.makespan_cycles
         # the cluster keeps serve.* counters in its workers, not in the
         # dispatcher registry, so read them from the aggregated snapshot
         snapshot = service.metrics_snapshot()
-        engine_runs = snapshot.get("obs.serve.engine_runs", 0.0)
-        warm_runs = snapshot.get("obs.serve.warm_runs", 0.0)
         metrics.set("traffic.offered_load", stats.level)
         metrics.set("traffic.sim_cycles", stats.sim_cycles)
         metrics.set("traffic.shed_rate", stats.shed_rate)
-        metrics.set("traffic.cache_hit_rate", service.cache.hit_rate)
-        metrics.set(
-            "traffic.warm_share", warm_runs / engine_runs if engine_runs else 0.0
-        )
+        metrics.set("traffic.cache_hit_rate", snapshot["obs.serve.cache_hit_rate"])
+        metrics.set("traffic.warm_share", warm_run_share(snapshot))
         for q, name in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99")):
             metrics.set(
                 f"traffic.latency_{name}_cycles", stats.latency_quantile(q)
@@ -475,16 +452,17 @@ class TrafficRun:
 
 def run_level(config: TrafficConfig, level: float, warm: bool = True) -> LevelStats:
     """Run one load level end-to-end and return its stats."""
-    run = TrafficRun(config, level, warm)
-    if config.mode == "closed":
-        run.run_closed(int(level), config.requests_per_level)
-    elif config.mode == "open":
-        run.run_open(float(level), config.requests_per_level)
-    else:
+    if config.mode not in ("closed", "open"):
         raise ValueError(
             f"unknown traffic mode {config.mode!r}; known: closed, open"
         )
-    return run.finalize()
+    run = TrafficRun(config, level, warm)
+    with run.service:
+        if config.mode == "closed":
+            run.run_closed(int(level), config.requests_per_level)
+        else:
+            run.run_open(float(level), config.requests_per_level)
+        return run.finalize()
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import threading
 import urllib.error
 import urllib.request
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.graph.csr import CSRGraph
 from repro.hardware import HardwareConfig
 from repro.serve import (
     GraphDelta,
+    GraphService,
     GraphStore,
     QueryEngine,
     ServeConfig,
@@ -57,6 +59,18 @@ def make_cluster(tmp_path, workers=2, transport="inline", **config_kw):
         transport=transport,
         spool_dir=str(tmp_path / "spool"),
     )
+
+
+def make_kind(kind, tmp_path, **config_kw):
+    """The single service, or a one-worker inline cluster, over one graph
+    and config: both must behave the same wherever they share a path."""
+    if kind == "cluster":
+        return make_cluster(tmp_path, workers=1, **config_kw)
+    config_kw.setdefault("cores", 4)
+    return GraphService(small_graph(), ServeConfig(**config_kw))
+
+
+SERVICE_KINDS = ("service", "cluster")
 
 
 WORKLOAD = (
@@ -186,11 +200,30 @@ class TestClusterDeterminism:
         assert spans[4] < spans[1]
 
 
+class TestAdmission:
+    @pytest.mark.parametrize("kind", SERVICE_KINDS)
+    @pytest.mark.parametrize(
+        "algorithm,params", [("nope", {}), ("sssp", {"nope": 1})]
+    )
+    def test_bad_query_bounces_before_queueing(
+        self, tmp_path, kind, algorithm, params
+    ):
+        with make_kind(kind, tmp_path) as service:
+            with pytest.raises(ValueError):
+                service.submit(algorithm, params)
+            assert len(service.batcher) == 0
+            assert service.drain() == []
+            # the next good query is unaffected
+            service.submit("sssp", {"source": 0})
+            assert [r.ok for r in service.drain()] == [True]
+
+
+@pytest.mark.parametrize("kind", SERVICE_KINDS)
 class TestResponseLifetime:
-    def test_dispatcher_keeps_no_response(self, tmp_path):
+    def test_dispatcher_keeps_no_response(self, tmp_path, kind):
         # a long-running server must not grow with every answered query:
         # once the caller drops a response, nothing else holds it
-        with make_cluster(tmp_path) as service:
+        with make_kind(kind, tmp_path) as service:
             service.submit("sssp", {"source": 0})
             responses = service.drain()
             assert [r.ok for r in responses] == [True]
@@ -201,8 +234,8 @@ class TestResponseLifetime:
             # the exact latency quantiles survive without the responses
             assert service.latency_quantile(0.5) > 0.0
 
-    def test_shed_response_not_kept(self, tmp_path):
-        with make_cluster(tmp_path, queue_limit=1) as service:
+    def test_shed_response_not_kept(self, tmp_path, kind):
+        with make_kind(kind, tmp_path, queue_limit=1) as service:
             service.submit("sssp", {"source": 0})
             shed = service.submit("wcc", {})
             assert not isinstance(shed, int) and not shed.ok
@@ -245,6 +278,75 @@ class TestFaultHandling:
         assert all(r.inherited for r in revived)
         assert snapshot["obs.serve.baseline_inherited"] >= 1.0
         assert alive_after
+
+    def test_process_workers_map_one_saved_store_per_version(self, tmp_path):
+        def saved():
+            return sorted(
+                (path.name, (path / "manifest.json").stat().st_mtime_ns)
+                for path in spool.glob("store-*")
+            )
+
+        with make_cluster(tmp_path, transport="process") as service:
+            spool = Path(service.spool_dir)
+            assert spool.parent == tmp_path / "spool"
+            first = saved()
+            assert [name for name, _ in first] == ["store-v0-0"]
+            # a restart at the same version maps the same directory
+            service.kill_worker("w0")
+            service.worker_metrics()
+            assert service.workers_alive() == {"w0": True, "w1": True}
+            assert saved() == first
+            # a restart after an update saves the new version once
+            service.apply_update(GraphDelta(add_edges=[(3, 0)]))
+            service.kill_worker("w1")
+            service.kill_worker("w0")
+            service.worker_metrics()
+            after = saved()
+            assert after[0] == first[0]
+            assert [name for name, _ in after] == ["store-v0-0", "store-v0-1"]
+            snapshot = service.metrics_snapshot()
+        assert snapshot["obs.cluster.worker_restarts"] == 3.0
+        # close removes the service's own spool
+        assert not spool.exists()
+        assert list((tmp_path / "spool").iterdir()) == []
+
+    def test_shared_spool_serves_each_cluster_its_own_graph(self, tmp_path):
+        # saved stores are named by version, not by graph: two live
+        # clusters on one spool, over different graphs and deltas, must
+        # each answer from their own store, as inline clusters do
+        other = CSRGraph.from_edges(
+            5, [(0, 4), (4, 3), (3, 2), (2, 1)], weights=[2.0] * 4
+        )
+        cases = ((small_graph(), (3, 0)), (other, (1, 0)))
+
+        def answer(service, delta):
+            service.apply_update(GraphDelta(add_edges=[delta]))
+            service.kill_worker("w0")  # the restart maps a saved v1 store
+            for algorithm, params in WORKLOAD:
+                service.submit(algorithm, params)
+            return [(r.status, r.summary) for r in service.drain()]
+
+        def cluster(graph, transport):
+            return ClusterService(
+                graph,
+                ServeConfig(cores=4),
+                workers=1,
+                transport=transport,
+                spool_dir=str(tmp_path / "spool"),
+            )
+
+        expected = []
+        for graph, delta in cases:
+            with cluster(graph, "inline") as service:
+                expected.append(answer(service, delta))
+        assert expected[0] != expected[1]
+        with cluster(cases[0][0], "process") as first:
+            with cluster(cases[1][0], "process") as second:
+                got = [
+                    answer(service, delta)
+                    for service, (_, delta) in zip((first, second), cases)
+                ]
+        assert got == expected
 
     def test_routing_pin_survives_restart(self, tmp_path):
         with make_cluster(tmp_path) as service:
