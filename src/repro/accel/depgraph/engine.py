@@ -14,7 +14,11 @@ timeline with software bookkeeping costs.
 map to :meth:`configure` and the runtime's edge handler, which HDTL calls
 once per fetched edge.  The engine is its walker's fetch port:
 :meth:`fetch` and :meth:`fetch_state` put HDTL's line fetches on the
-engine timeline.
+engine timeline, through the memory hierarchy's one entry point
+(:meth:`MemorySystem.access <repro.hardware.hierarchy.MemorySystem.access>`,
+bound once per engine).  ``fetch_state`` runs once per edge and issues
+the target's state and delta line fetches itself, back to back in one
+FIFO slot.
 """
 
 from __future__ import annotations
@@ -74,12 +78,16 @@ class DepGraphEngine:
         #: optional MetricRegistry attached by the runtime when observing
         self.metrics = None
         self._window: Deque[float] = deque()
+        #: ``note_consumed(core_time)``: the core popped one FIFO entry at
+        #: ``core_time`` (the window's own append, run once per edge)
+        self.note_consumed = self._window.append
         # the "vertex state arrays" of Figure 2 are the recent-state and
         # delta arrays; a state fetch brings in both lines of the target
         self._state_base = layout.states.base
         self._state_stride = layout.states.stride
         self._delta_base = layout.deltas.base
         self._delta_stride = layout.deltas.stride
+        self._access = memsys.access
         self.hdtl = HDTL(
             graph,
             hub_membership,
@@ -109,38 +117,50 @@ class DepGraphEngine:
         if core_time > self.time:
             self.time = core_time
 
-    def fetch(self, *addrs: int) -> None:
-        """HDTL port: one fetch slot for ``addrs`` — a CSR-array line
-        (offsets, edges or weights), or a target's state lines — on the
-        engine timeline (the engine 'issues the instructions to access
-        the data from the L2 cache', Section III-B)."""
-        if len(self._window) >= self.config.buffer_capacity:
+    def fetch(self, addr: int) -> None:
+        """HDTL port: one fetch slot for a CSR-array line (offsets, edges
+        or weights) on the engine timeline (the engine 'issues the
+        instructions to access the data from the L2 cache', Section
+        III-B)."""
+        window = self._window
+        if len(window) >= self.config.buffer_capacity:
             # FIFO full: the engine waits for the core to drain an entry.
-            release = self._window.popleft()
+            release = window.popleft()
             if release > self.time:
                 self.stall_cycles += release - self.time
                 self.time = release
-        access = self.memsys.access
-        core = self.core
-        metrics = self.metrics
-        for addr in addrs:
-            latency = access(core, addr, False, self.time)
-            self.time += ISSUE_CYCLES + latency / ENGINE_MLP
-            self.ops += 1
-            if metrics is not None:
-                metrics.observe("engine.fetch_latency", latency)
+        latency = self._access(self.core, addr, False, self.time)
+        self.time += ISSUE_CYCLES + latency / ENGINE_MLP
+        self.ops += 1
+        if self.metrics is not None:
+            self.metrics.observe("engine.fetch_latency", latency)
 
     def fetch_state(self, vertex: int) -> None:
-        """HDTL port: the target's state and delta lines, so the core's
-        scatter into them hits privately."""
-        self.fetch(
-            self._state_base + self._state_stride * vertex,
-            self._delta_base + self._delta_stride * vertex,
+        """HDTL port: one fetch slot for the target's state and delta
+        lines, so the core's scatter into them hits privately.  The two
+        fetches are issued back to back on the engine timeline, without
+        a round trip through :meth:`fetch`: this runs once per edge."""
+        window = self._window
+        time = self.time
+        if len(window) >= self.config.buffer_capacity:
+            release = window.popleft()
+            if release > time:
+                self.stall_cycles += release - time
+                time = release
+        access = self._access
+        core = self.core
+        state_latency = access(
+            core, self._state_base + self._state_stride * vertex, False, time
         )
-
-    def note_consumed(self, core_time: float) -> None:
-        """The core popped one FIFO entry at ``core_time``."""
-        self._window.append(core_time)
+        time += ISSUE_CYCLES + state_latency / ENGINE_MLP
+        delta_latency = access(
+            core, self._delta_base + self._delta_stride * vertex, False, time
+        )
+        self.time = time + (ISSUE_CYCLES + delta_latency / ENGINE_MLP)
+        self.ops += 2
+        if self.metrics is not None:
+            self.metrics.observe("engine.fetch_latency", state_latency)
+            self.metrics.observe("engine.fetch_latency", delta_latency)
 
     # ------------------------------------------------------------------
     # Hub-index access timing (DDMU-issued memory traffic).

@@ -28,6 +28,12 @@ keeps one line register per CSR array, as the hardware keeps the current
 neighbour cache line, so successive elements of a line cost one fetch.
 The same walker serves DepGraph-S (the port charges the core's clock) and
 DepGraph-H (the engine's timeline pays).
+
+``hub_membership`` is the H'' test the walk runs once per edge.  The
+runtime passes the ``__contains__`` of :attr:`HubSets.members
+<repro.accel.depgraph.hubs.HubSets.members>`, a set that promotions
+mutate in place: the check is one C-level call, and a walker built
+before a promotion sees it.
 """
 
 from __future__ import annotations
@@ -172,73 +178,75 @@ class HDTL:
             offset_line = addr // line_bytes
             offset_fetches += 1
             fetch(addr)
-        # Figure 7's stack: vertex, current and end offsets of its
-        # unvisited edges, one list per field
+        # Figure 7's stack: each vertex on the path and an iterator over
+        # its unvisited edge offsets.  One loop runs the top vertex's
+        # edges; descending breaks out of it, and the parent's iterator
+        # resumes where it stopped once the child is exhausted.
         path = [root]
-        cursors = [offsets[root]]
-        ends = [offsets[root + 1]]
+        edge_ranges = [iter(range(offsets[root], offsets[root + 1]))]
         while path:
-            edge = cursors[-1]
-            if edge >= ends[-1]:
+            source = path[-1]
+            depth = len(path)
+            for edge in edge_ranges[-1]:
+                addr = target_base + target_stride * edge
+                if addr // line_bytes != neighbor_line:
+                    neighbor_line = addr // line_bytes
+                    neighbor_fetches += 1
+                    fetch(addr)
+                target = targets[edge]
+                if weights is None:
+                    weight = 1.0
+                else:
+                    weight = weights[edge]
+                    addr = weight_base + weight_stride * edge
+                    if addr // line_bytes != weight_line:
+                        weight_line = addr // line_bytes
+                        weight_fetches += 1
+                        fetch(addr)
+                fetch_state(target)
+                edges_fetched += 1
+                descend = on_edge(source, target, weight, depth)
+                if is_hub(target):
+                    # Reached an H'' vertex: the path ends here; the
+                    # runtime re-enqueues the endpoint and, when the root
+                    # is in H'', reports the segment to the DDMU as a
+                    # core-path.  HDTL never descends past hub/core
+                    # vertices, which keeps core-paths edge-disjoint
+                    # (Definition 2).
+                    paths_ended += 1
+                    on_path_end((*path, target), "hub")
+                    continue
+                if not part_begin <= target < part_end:
+                    # Left G^m: the owning core continues this chain.
+                    if descend and target not in visited:
+                        paths_ended += 1
+                        on_path_end((*path, target), "boundary")
+                    continue
+                if not descend or target in visited:
+                    continue
+                if depth >= stack_depth:
+                    # Fixed-depth stack is full: split the chain here and
+                    # let the endpoint continue as a fresh root.
+                    paths_ended += 1
+                    on_path_end((*path, target), "depth")
+                    continue
+                visited.add(target)
+                addr = offset_base + offset_stride * target
+                if addr // line_bytes != offset_line:
+                    offset_line = addr // line_bytes
+                    offset_fetches += 1
+                    fetch(addr)
+                path.append(target)
+                edge_ranges.append(
+                    iter(range(offsets[target], offsets[target + 1]))
+                )
+                if depth + 1 > max_depth:
+                    max_depth = depth + 1
+                break
+            else:
                 # This branch is exhausted: pop, resume the parent.
                 path.pop()
-                cursors.pop()
-                ends.pop()
-                continue
-            cursors[-1] = edge + 1
-            addr = target_base + target_stride * edge
-            if addr // line_bytes != neighbor_line:
-                neighbor_line = addr // line_bytes
-                neighbor_fetches += 1
-                fetch(addr)
-            target = targets[edge]
-            if weights is None:
-                weight = 1.0
-            else:
-                weight = weights[edge]
-                addr = weight_base + weight_stride * edge
-                if addr // line_bytes != weight_line:
-                    weight_line = addr // line_bytes
-                    weight_fetches += 1
-                    fetch(addr)
-            fetch_state(target)
-            edges_fetched += 1
-            depth = len(path)
-            descend = on_edge(path[-1], target, weight, depth)
-            if is_hub(target):
-                # Reached an H'' vertex: the path ends here; the runtime
-                # re-enqueues the endpoint and, when the root is in H'',
-                # reports the segment to the DDMU as a core-path.  HDTL
-                # never descends past hub/core vertices, which keeps
-                # core-paths edge-disjoint (Definition 2).
-                paths_ended += 1
-                on_path_end((*path, target), "hub")
-                continue
-            if not part_begin <= target < part_end:
-                # Left G^m: the owning core continues this chain.
-                if descend and target not in visited:
-                    paths_ended += 1
-                    on_path_end((*path, target), "boundary")
-                continue
-            if not descend or target in visited:
-                continue
-            if depth >= stack_depth:
-                # Fixed-depth stack is full: split the chain here and let
-                # the endpoint continue as a fresh root.
-                paths_ended += 1
-                on_path_end((*path, target), "depth")
-                continue
-            visited.add(target)
-            addr = offset_base + offset_stride * target
-            if addr // line_bytes != offset_line:
-                offset_line = addr // line_bytes
-                offset_fetches += 1
-                fetch(addr)
-            path.append(target)
-            cursors.append(offsets[target])
-            ends.append(offsets[target + 1])
-            if depth + 1 > max_depth:
-                max_depth = depth + 1
+                edge_ranges.pop()
 
         self._offset_line = offset_line
         self._neighbor_line = neighbor_line

@@ -94,27 +94,32 @@ class HubSets:
     def __init__(self, hubs: Set[int], max_core_vertices: Optional[int] = None):
         self.hubs: Set[int] = set(hubs)
         self.core_vertices: Set[int] = set()
+        #: H'' itself, ``hubs | core_vertices``: one set, mutated in place
+        #: and never rebound, so walkers may hold it (or its C-level
+        #: ``__contains__``) for the whole run
+        self.members: Set[int] = set(self.hubs)
         if max_core_vertices is None:
             max_core_vertices = max(64, 4 * len(self.hubs))
         self.max_core_vertices = max_core_vertices
 
     def __contains__(self, vertex: int) -> bool:
-        return vertex in self.hubs or vertex in self.core_vertices
+        return vertex in self.members
 
     def promote_core_vertex(self, vertex: int) -> bool:
         """Promote a path-intersection or partition-boundary vertex into H''
         (Definition 2 / the H^m' boundary set); returns False when the cap
         is reached or the vertex is already a member."""
-        if vertex in self.hubs or vertex in self.core_vertices:
+        if vertex in self.members:
             return False
         if len(self.core_vertices) >= self.max_core_vertices:
             return False
         self.core_vertices.add(vertex)
+        self.members.add(vertex)
         return True
 
     @property
     def size(self) -> int:
-        return len(self.hubs) + len(self.core_vertices)
+        return len(self.members)
 
     def partition_bitmap(
         self, graph: CSRGraph, partitioning: Partitioning, part_index: int

@@ -97,18 +97,18 @@ class Cache:
     def access(self, line: int, write: bool = False) -> bool:
         """Touch one cache line; returns True on hit, False on miss (the
         line is then installed)."""
+        # the full line id is the tag: sets are disjoint by index
         index = line & self._set_mask
-        tag = line >> 0  # full line id as tag; sets are disjoint by index
         cset = self._sets[index]
-        if tag in cset:
+        if line in cset:
             self.hits += 1
             if self._policy == "lru":
-                cset.move_to_end(tag)
+                cset.move_to_end(line)
             else:
-                cset[tag] = 0  # RRIP: promote to near-immediate re-reference
+                cset[line] = 0  # RRIP: promote to near-immediate re-reference
             return True
         self.misses += 1
-        self._install(cset, index, tag, write)
+        self._install(cset, index, line, write)
         return False
 
     def probe(self, line: int) -> bool:
@@ -150,7 +150,9 @@ class Cache:
             cset.popitem(last=False)
             return
         # RRIP victim search: evict a line with RRPV == max, aging otherwise.
-        # GRASP never ages hot lines past max-1, preferring cold victims.
+        # GRASP never ages hot lines past max-1, preferring cold victims;
+        # once a set of only hot lines has nothing left to age, its oldest
+        # line goes.
         while True:
             victim: Optional[int] = None
             for tag, rrpv in cset.items():
@@ -160,11 +162,19 @@ class Cache:
             if victim is not None:
                 del cset[victim]
                 return
+            aged = False
             for tag in cset:
+                rrpv = cset[tag]
                 if self._policy == "grasp" and self._is_hot(tag):
-                    cset[tag] = min(cset[tag] + 1, self.RRPV_MAX - 1)
+                    if rrpv < self.RRPV_MAX - 1:
+                        cset[tag] = rrpv + 1
+                        aged = True
                 else:
-                    cset[tag] = cset[tag] + 1
+                    cset[tag] = rrpv + 1
+                    aged = True
+            if not aged:
+                del cset[next(iter(cset))]
+                return
 
     # ------------------------------------------------------------------
     def note_duel_outcome(self, index: int, hit: bool) -> None:

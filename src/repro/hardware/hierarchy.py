@@ -6,6 +6,14 @@ in cycles, charging NoC hops between the core tile and the owning L3 bank
 accessing core's L1/L2 and a remote write simply invalidates nothing — the
 paper's phenomena come from locality and DRAM pressure, which this captures;
 full MESI is out of scope for a cycle-approximate model (see DESIGN.md).
+
+``access()`` is the one entry point for a simulated access and the
+simulator's innermost loop.  Each core's private caches, their set lists
+and masks, and its NoC row are bound once, at construction; private LRU
+levels and hits in a DRRIP L3 bank are resolved inline on the sets.
+:class:`repro.hardware.cache.Cache` stays the reference model of every
+level: ``tests/test_memsys_reference.py`` checks that ``access()`` matches
+a plain composition of ``Cache.access`` calls, access for access.
 """
 
 from __future__ import annotations
@@ -79,34 +87,38 @@ class MemorySystem:
         # hot-path lookups, precomputed once
         self._l1_lat = config.l1d.latency
         self._l2_hit_lat = config.l1d.latency + config.l2.latency
-        self._l3_lat = config.l3.latency
         self._dram_lat = config.dram_latency
-        self._hop_cycles = config.noc_hop_cycles
         self._l3_banks = config.l3_banks
-        # per-level replacement, decided once: LRU private levels are
-        # walked inline by access(), the others call Cache.access
+        # per-level replacement, decided once: LRU private levels and
+        # DRRIP L3 hits are resolved inline by access(), the others call
+        # Cache.access
         self._l1_lru = config.l1d.policy == "lru"
         self._l2_lru = config.l2.policy == "lru"
+        self._l3_drrip = config.l3.policy == "drrip"
         self._l1_ways = config.l1d.ways
         self._l2_ways = config.l2.ways
-        self._hops = [
-            [self.noc.hops(core, bank) for bank in range(config.l3_banks)]
-            for core in range(config.num_cores)
-        ]
+        # per-core bindings, so access() unpacks one tuple per level it
+        # reaches: the core's L1 and its set list and mask; past an L1
+        # miss, the same for its L2 plus, per L3 bank, the round-trip hop
+        # count and the latency of an L3 hit (the L1/L2 lookups plus the
+        # NoC round trip plus the L3 itself)
+        self._private_l1 = [(c, c._sets, c._set_mask) for c in self.l1]
+        self._beyond_l1 = []
+        for core, l2 in enumerate(self.l2):
+            hops = [
+                2 * self.noc.hops(core, bank) for bank in range(config.l3_banks)
+            ]
+            l3_cycles = [
+                self._l2_hit_lat + (hop * config.noc_hop_cycles + config.l3.latency)
+                for hop in hops
+            ]
+            self._beyond_l1.append((l2, l2._sets, l2._set_mask, hops, l3_cycles))
         # Observability (off by default): when a MetricRegistry is attached,
         # the cold sections of access() additionally record NoC hop
         # distances and DRAM queueing samples.  The hot path pays a single
         # attribute check when disabled.
         self._metrics = None
         self.noc_traffic: Optional[NoCTraffic] = None
-
-    # ------------------------------------------------------------------
-    def line_of(self, addr: int) -> int:
-        return addr >> self._line_shift
-
-    def _bank_of(self, line: int) -> int:
-        # Hash the line to spread consecutive lines over banks.
-        return (line ^ (line >> 7)) % self.config.l3_banks
 
     # ------------------------------------------------------------------
     def access(
@@ -119,18 +131,22 @@ class MemorySystem:
 
         Private LRU levels are resolved here, on their sets, with the
         same counters and replacement as :meth:`Cache.access` (which
-        stays the reference model); the shared L3 and any non-LRU level
+        stays the reference model); so is a hit in a DRRIP L3 bank (the
+        line's RRPV drops to 0; a hit never moves the set-dueling
+        selector).  An L3 miss installs through the bank's own
+        ``_install``; LRU and GRASP L3 banks and non-LRU private levels
         go through :meth:`Cache.access`.  This is the simulator's
-        innermost loop: one call per simulated access."""
-        stats = self.stats
+        innermost loop: one call per simulated access, so the core's
+        caches, set lists and NoC row come from tuples bound in
+        ``__init__``."""
         line = addr >> self._line_shift
-        l1 = self.l1[core]
+        l1, l1_sets, l1_mask = self._private_l1[core]
         if self._l1_lru:
-            cset = l1._sets[line & l1._set_mask]
+            cset = l1_sets[line & l1_mask]
             if line in cset:
                 cset.move_to_end(line)
                 l1.hits += 1
-                stats.l1_hits += 1
+                self.stats.l1_hits += 1
                 return self._l1_lat
             l1.misses += 1
             if len(cset) >= self._l1_ways:
@@ -138,15 +154,15 @@ class MemorySystem:
                 l1.writebacks += 1
             cset[line] = 0
         elif l1.access(line, write):
-            stats.l1_hits += 1
+            self.stats.l1_hits += 1
             return self._l1_lat
-        l2 = self.l2[core]
+        l2, l2_sets, l2_mask, hops, l3_cycles = self._beyond_l1[core]
         if self._l2_lru:
-            cset = l2._sets[line & l2._set_mask]
+            cset = l2_sets[line & l2_mask]
             if line in cset:
                 cset.move_to_end(line)
                 l2.hits += 1
-                stats.l2_hits += 1
+                self.stats.l2_hits += 1
                 return self._l2_hit_lat
             l2.misses += 1
             if len(cset) >= self._l2_ways:
@@ -154,23 +170,32 @@ class MemorySystem:
                 l2.writebacks += 1
             cset[line] = 0
         elif l2.access(line, write):
-            stats.l2_hits += 1
+            self.stats.l2_hits += 1
             return self._l2_hit_lat
-        cycles = self._l2_hit_lat
         bank = (line ^ (line >> 7)) % self._l3_banks
-        hops = self._hops[core][bank]
-        stats.noc_hop_count += 2 * hops
-        cycles += 2 * hops * self._hop_cycles + self._l3_lat
+        self.stats.noc_hop_count += hops[bank]
+        cycles = l3_cycles[bank]
         if self.noc_traffic is not None:
-            self.noc_traffic.record(core, hops)
+            self.noc_traffic.record(core, hops[bank] // 2)
         l3_bank = self.l3[bank]
-        index = line & (l3_bank.num_sets - 1)
-        hit = l3_bank.access(line, write)
-        l3_bank.note_duel_outcome(index, hit)
-        if hit:
-            stats.l3_hits += 1
-            return cycles
-        stats.dram_accesses += 1
+        index = line & l3_bank._set_mask
+        if self._l3_drrip:
+            cset = l3_bank._sets[index]
+            if line in cset:
+                cset[line] = 0
+                l3_bank.hits += 1
+                self.stats.l3_hits += 1
+                return cycles
+            l3_bank.misses += 1
+            l3_bank._install(cset, index, line, write)
+            l3_bank.note_duel_outcome(index, False)
+        else:
+            hit = l3_bank.access(line, write)
+            l3_bank.note_duel_outcome(index, hit)
+            if hit:
+                self.stats.l3_hits += 1
+                return cycles
+        self.stats.dram_accesses += 1
         if self.dram is not None:
             latency = self.dram.access(line, now + cycles)
             if self._metrics is not None:
@@ -187,7 +212,6 @@ class MemorySystem:
         first = addr >> self._line_shift
         last = (addr + nbytes - 1) >> self._line_shift
         cycles = 0
-        line_bytes = self.config.line_bytes
         for line in range(first, last + 1):
             cycles += self.access(core, line << self._line_shift, write)
         return cycles

@@ -34,6 +34,12 @@ BARRIER_PER_LOG_CORE = 40
 FAST_MEM_CYCLES = 24.0
 
 
+def _fast_access(core: int, addr: int, write: bool, now: float) -> float:
+    """The "fast" fidelity's memory model: every access costs
+    :data:`FAST_MEM_CYCLES`, wherever it would hit."""
+    return FAST_MEM_CYCLES
+
+
 class SimContext:
     """Mutable simulation state for one run."""
 
@@ -123,16 +129,10 @@ class SimContext:
         # redundant updates.
         self.staged: List[dict] = [dict() for _ in range(cores)]
 
-        # Charging dispatch is resolved once, here, instead of branching on
-        # fidelity inside every call: the fast-mode variants shadow the
-        # detailed methods as instance attributes.  The cycle numbers each
-        # variant produces are identical to the old branchy forms — this
-        # only removes per-access Python overhead.
-        if self.fast:
-            self.charge_mem = self._charge_mem_fast
-            self.charge_rmw = self._charge_rmw_fast
-            self.mem_cost = self._mem_cost_fast
-        self._access = self.memsys.access
+        #: the one memory-access function every charge goes through: the
+        #: hierarchy's walk, or under "fast" fidelity a flat cost per
+        #: access (same signature, no hierarchy state touched)
+        self.core_access = _fast_access if self.fast else self.memsys.access
 
     # ------------------------------------------------------------------
     # Charging primitives.
@@ -140,17 +140,7 @@ class SimContext:
     def charge_mem(
         self, core: int, addr: int, write: bool = False, state: bool = False
     ) -> float:
-        cycles = self._access(core, addr, write, self.clock[core])
-        self.clock[core] += cycles
-        self.mem[core] += cycles
-        if state:
-            self.state_mem[core] += cycles
-        return cycles
-
-    def _charge_mem_fast(
-        self, core: int, addr: int, write: bool = False, state: bool = False
-    ) -> float:
-        cycles = FAST_MEM_CYCLES
+        cycles = self.core_access(core, addr, write, self.clock[core])
         self.clock[core] += cycles
         self.mem[core] += cycles
         if state:
@@ -161,15 +151,7 @@ class SimContext:
         """A read-modify-write to one location (scatter accumulation): one
         hierarchy walk; the write hits the just-installed line.  Scatters
         target the delta array, so they count as state traffic by default."""
-        cycles = self._access(core, addr, True, self.clock[core]) + 1
-        self.clock[core] += cycles
-        self.mem[core] += cycles
-        if state:
-            self.state_mem[core] += cycles
-        return cycles
-
-    def _charge_rmw_fast(self, core: int, addr: int, state: bool = True) -> float:
-        cycles = FAST_MEM_CYCLES + 1
+        cycles = self.core_access(core, addr, True, self.clock[core]) + 1
         self.clock[core] += cycles
         self.mem[core] += cycles
         if state:
@@ -189,15 +171,14 @@ class SimContext:
     def mem_cost(self, core: int, addr: int, write: bool = False) -> float:
         """Memory access whose latency the caller will attribute itself
         (used by engine timelines that run off the core clock)."""
-        return self._access(core, addr, write, self.clock[core])
-
-    def _mem_cost_fast(self, core: int, addr: int, write: bool = False) -> float:
-        return FAST_MEM_CYCLES
+        return self.core_access(core, addr, write, self.clock[core])
 
     # ------------------------------------------------------------------
     # Fused charge sequences (the entry/exit charging every family runs
-    # around a vertex apply; one call instead of three keeps the dispatch
-    # loop's Python overhead down without touching the cycle model).
+    # around a vertex apply, and the chain walk's per-edge charging; one
+    # call instead of several keeps the hot loops' Python overhead down
+    # without touching the cycle model: each is the exact sequence of
+    # the primitives above).
     # ------------------------------------------------------------------
     def charge_state_entry(self, core: int, vertex: int) -> None:
         """Delta read then state read for ``vertex`` — the charge sequence
@@ -213,6 +194,65 @@ class SimContext:
         charge_mem(core, self.state_base + self.state_stride * vertex, True, True)
         charge_mem(core, self.delta_base + self.delta_stride * vertex, True, True)
         self.charge_compute(core, self.timing.update_op)
+
+    def charge_chain_edge(
+        self, core: int, vertex: int, ready: float, pop_cycles: float
+    ) -> float:
+        """One chain edge into ``vertex``, as one call: the core stalls
+        until the edge is ``ready`` (when it is behind) and pays
+        ``pop_cycles`` of overhead to take it, then the edge-op compute,
+        the scatter's delta read-modify-write and the state read the
+        significance check needs.  The same cycles, added in the same
+        order, as ``charge_overhead`` (twice), ``charge_compute``,
+        ``charge_rmw`` and ``charge_mem(..., state=True)``.  Returns the
+        core's clock at the instant it took the edge."""
+        overhead = self.overhead
+        now = self.clock[core]
+        if ready > now:
+            stall = ready - now
+            now += stall
+            overhead[core] += stall
+        now += pop_cycles
+        overhead[core] += pop_cycles
+        taken = now
+        compute = self.timing.edge_op
+        if self.simd:
+            compute /= self.timing.simd_factor
+        self.compute[core] += compute
+        now += compute
+        access = self.core_access
+        delta = access(
+            core, self.delta_base + self.delta_stride * vertex, True, now
+        ) + 1
+        now += delta
+        state = access(core, self.state_base + self.state_stride * vertex, False, now)
+        self.clock[core] = now + state
+        self.mem[core] = self.mem[core] + delta + state
+        self.state_mem[core] = self.state_mem[core] + delta + state
+        return taken
+
+    def charge_chain_apply(self, core: int, vertex: int) -> None:
+        """A chain walk's descend into ``vertex``: the state write, then
+        the update-op compute charge."""
+        clock = self.clock
+        cycles = self.core_access(
+            core, self.state_base + self.state_stride * vertex, True, clock[core]
+        )
+        self.mem[core] += cycles
+        self.state_mem[core] += cycles
+        compute = self.timing.update_op
+        if self.simd:
+            compute /= self.timing.simd_factor
+        self.compute[core] += compute
+        clock[core] = clock[core] + cycles + compute
+
+    def charge_write(self, core: int, addr: int) -> None:
+        """A write outside the state arrays (a queue slot, an index
+        entry): ``charge_mem(core, addr, True)`` without its defaults."""
+        clock = self.clock
+        cycles = self.core_access(core, addr, True, clock[core])
+        clock[core] += cycles
+        self.mem[core] += cycles
 
     # ------------------------------------------------------------------
     # Vertex primitives.

@@ -224,7 +224,9 @@ class _DepGraphExecution:
         #: second claim promotes the vertex to core-vertex (Definition 2)
         self.claimed: Dict[int, Tuple[int, int, int]] = {}
 
-        membership = self.hubsets.__contains__
+        # H'' membership, shared by every walker and chain handler: the
+        # set's own C-level __contains__ (promotions mutate it in place)
+        membership = self.hubsets.members.__contains__
         # the CSR arrays as memoryviews, shared by every core's walker
         csr = csr_views(ctx.graph)
         if options.hardware:
@@ -271,6 +273,8 @@ class _DepGraphExecution:
         self._queue_base = layout.queues.base
         self._queue_stride = layout.queues.stride
         self._queue_slots = layout.queues.length
+        self._charge_write = ctx.charge_write
+        self._is_significant = ctx.algorithm.is_significant
         #: whether the chain being walked is rooted in H''
         self._root_is_hub = False
         self._handlers = [
@@ -313,7 +317,9 @@ class _DepGraphExecution:
             self._run_round()
             if self.options.ddmu_mode == "learned":
                 self._observe_learning_entries()
-            kernel.end_round(round_index, active, start_peak, updates_before)
+            if kernel.end_round(round_index, active, start_peak, updates_before):
+                converged = False
+                break
         else:
             converged = False
         if self.engines is not None:
@@ -641,7 +647,7 @@ class _DepGraphExecution:
             engine.sync_to(ctx.clock[core])
 
         self._expected_resets = {}
-        if self.hub_active and root in self.hubsets:
+        if self.hub_active and root in self.hubsets.members:
             self._apply_shortcuts(core, root, value, engine)
 
         if not (ctx.is_sum and value == 0.0):
@@ -704,25 +710,22 @@ class _DepGraphExecution:
     def _enqueue_active(self, core: int, vertex: int) -> None:
         """Insert ``vertex`` into its owning partition's circular queue
         (current round when it has not been applied yet, else next round)."""
-        ctx = self.ctx
         part = self._vertex_part[vertex]
-        owner_core = self.part_owner[part]
+        remote = self.part_owner[part] != core
         queue = self.queues[part]
-        ctx.charge_mem(
-            core,
-            self._queue_base + self._queue_stride * (part % self._queue_slots),
-            True,
+        self._charge_write(
+            core, self._queue_base + self._queue_stride * (part % self._queue_slots)
         )
         if vertex not in self.visited:
-            if queue.push_current(vertex, remote=owner_core != core):
+            if queue.push_current(vertex, remote=remote):
                 self.windex.pushed_current(part, vertex)
-        elif ctx.significant(ctx.pending[vertex], vertex):
-            if queue.push_next(vertex, remote=owner_core != core):
+        elif self._is_significant(self.ctx.pending[vertex], self.ctx.states[vertex]):
+            if queue.push_next(vertex, remote=remote):
                 self.windex.pushed_next(part, vertex)
 
     # ------------------------------------------------------------------
     def _walk_chain(self, core: int, root: int) -> None:
-        self._root_is_hub = self.hub_active and root in self.hubsets
+        self._root_is_hub = self.hub_active and root in self.hubsets.members
         on_edge, on_path_end = self._handlers[core]
         self.walkers[core].traverse(root, self.visited, on_edge, on_path_end)
 
@@ -741,51 +744,37 @@ class _DepGraphExecution:
         propval = ctx.propval
         pending = ctx.pending
         states = ctx.states
-        clock = ctx.clock
         identity = ctx.identity
-        charge_overhead = ctx.charge_overhead
-        charge_compute = ctx.charge_compute
-        charge_mem = ctx.charge_mem
-        charge_rmw = ctx.charge_rmw
+        charge_chain_edge = ctx.charge_chain_edge
+        charge_chain_apply = ctx.charge_chain_apply
         apply_vertex = ctx.apply_vertex
-        edge_op = timing.edge_op
-        update_op = timing.update_op
         sw_traverse_op = timing.sw_traverse_op
-        delta_base, delta_stride = ctx.delta_base, ctx.delta_stride
-        state_base, state_stride = ctx.state_base, ctx.state_stride
         visited = self.visited
         hubsets = self.hubsets
+        hub_members = hubsets.members
         hub_active = self.hub_active
         walker = self.walkers[core]
         enqueue = self._enqueue_active
         note_consumed = engine.note_consumed if engine is not None else None
 
         def on_edge(source: int, target: int, weight: float, depth: int) -> bool:
+            influence = edge_compute(source, propval[source], weight, graph)
+            ctx.edge_ops += 1
+            folded = accum(pending[target], influence)
+            pending[target] = folded
+            # The delta RMW and state read hit the private cache when the
+            # engine prefetched the target's lines (fetch_state).
             if engine is None:
                 # The core itself ran the four fetch stages (already
-                # charged through its fetch port); add the software
-                # bookkeeping per edge.
-                charge_overhead(core, sw_traverse_op)
+                # charged through its fetch port) and pays the full walk;
+                # add the software bookkeeping per edge.
+                charge_chain_edge(core, target, 0.0, sw_traverse_op)
             else:
                 # DEP_FETCH_EDGE: pop the FIFO, stalling if the engine is
                 # behind (its last entry is ready at the engine's time).
-                ready = engine.time
-                if ready > clock[core]:
-                    charge_overhead(core, ready - clock[core])
-                charge_overhead(core, BUFFER_POP_CYCLES)
-                note_consumed(clock[core])
-
-            influence = edge_compute(source, propval[source], weight, graph)
-            ctx.edge_ops += 1
-            charge_compute(core, edge_op)
-            folded = accum(pending[target], influence)
-            pending[target] = folded
-            # these hit the private cache when the engine prefetched the
-            # target's state/delta lines (fetch_state); DepGraph-S pays
-            # the full walk
-            charge_rmw(core, delta_base + delta_stride * target)
-            state_addr = state_base + state_stride * target
-            charge_mem(core, state_addr, False, True)
+                note_consumed(
+                    charge_chain_edge(core, target, engine.time, BUFFER_POP_CYCLES)
+                )
 
             if not is_significant(folded, states[target]):
                 return False
@@ -793,7 +782,7 @@ class _DepGraphExecution:
                 # Re-activation: the vertex already ran this round.
                 enqueue(core, target)
                 return False
-            if hub_active and target in hubsets:
+            if hub_active and target in hub_members:
                 # HDTL ends the path at the hub; the endpoint is
                 # enqueued there.
                 return True
@@ -806,8 +795,7 @@ class _DepGraphExecution:
             # Descend: apply the target asynchronously, in chain order.
             pending[target] = identity
             apply_vertex(target, folded)
-            charge_mem(core, state_addr, True, True)
-            charge_compute(core, update_op)
+            charge_chain_apply(core, target)
             return True
 
         def on_path_end(path: Tuple[int, ...], reason: str) -> None:
@@ -821,7 +809,7 @@ class _DepGraphExecution:
                     # chains of such segments let shortcut cascades cross
                     # partitions hub-to-hub.
                     hubsets.promote_core_vertex(endpoint)
-                if endpoint in hubsets and len(path) >= 3:
+                if endpoint in hub_members and len(path) >= 3:
                     # Multi-hop segments between H'' vertices get
                     # hub-index entries; a single edge is already a direct
                     # dependency and is not worth an entry.

@@ -26,7 +26,8 @@ times:
 * **convergence / round accounting** — :meth:`begin_round` /
   :meth:`end_round` frame a round with the histogram samples, the round
   span, the barrier, and the :class:`RoundLog` entry in the exact seed
-  order;
+  order; at each barrier :meth:`end_round` also reports a sum-type run
+  whose states went non-finite, so the family stops it as diverged;
 * **result construction** — :meth:`finish` flushes the per-span cycle
   accounting into ``obs.span.*`` metrics (always on, deterministic —
   the perf gate in ``benchmarks/check_baselines.py`` reads them) and
@@ -43,6 +44,7 @@ went.
 
 from __future__ import annotations
 
+from math import isfinite
 from time import perf_counter_ns
 from typing import Callable, List, Optional, Sequence
 
@@ -68,6 +70,13 @@ STEAL_CYCLES = 120
 FLUSH_INTERVAL = 32
 
 _INF = float("inf")
+
+
+def all_finite(values: Sequence[float]) -> bool:
+    """Whether every value is finite, in one C-level pass.  A non-finite
+    value makes the sum non-finite; a non-finite sum of finite values
+    (an overflow) is the only case that needs the per-value check."""
+    return isfinite(sum(values)) or all(map(isfinite, values))
 
 
 def next_core(clock: Sequence[float], work: Sequence) -> int:
@@ -248,6 +257,13 @@ class ExecutionKernel:
         self._span_count = {}
         self._span_cycles = {}
         self._span_host_ns = {}
+        #: the states a sum-type run's divergence check reads at each
+        #: barrier (None for min/max runs, whose ``inf`` is legitimate).
+        #: The vector backend keeps its live states in its own array,
+        #: clears this and checks that array itself.
+        self.watch_states: Optional[List[float]] = (
+            ctx.states if ctx.is_sum else None
+        )
 
     # ------------------------------------------------------------------
     # Span-accounted item processing.
@@ -430,10 +446,16 @@ class ExecutionKernel:
         active: int,
         start_peak: float,
         updates_before: int,
-    ) -> None:
+    ) -> bool:
         """Close a round: histogram samples + round span, the barrier,
         and the :class:`RoundLog` entry (whose duration includes the
-        barrier, as the seed runtimes recorded it)."""
+        barrier, as the seed runtimes recorded it).
+
+        Returns True when the run diverged: a sum-type run whose states
+        hold a non-finite value (Katz with its attenuation above one over
+        the spectral radius overflows).  Its deltas stay significant, so
+        without this check it would run on until ``inf - inf`` turns
+        them into NaN; the caller stops and reports ``converged=False``."""
         ctx = self.ctx
         updates = ctx.updates - updates_before
         ctx.note_round(round_index, active, updates, start_peak)
@@ -443,6 +465,8 @@ class ExecutionKernel:
                 round_index, active, updates, max(ctx.clock) - start_peak
             )
         )
+        states = self.watch_states
+        return states is not None and not all_finite(states)
 
     # ------------------------------------------------------------------
     def finish(self, converged: bool) -> ExecutionResult:

@@ -164,9 +164,11 @@ class _RoundEngine:
             kernel.flush_all(self._activate)
             if self.phi_buffers is not None:
                 self._flush_phi()
-            kernel.end_round(
+            if kernel.end_round(
                 round_index, len(frontier), start_peak, updates_before
-            )
+            ):
+                converged = False
+                break
             frontier = self.next_frontier
             self.next_frontier = []
             self.in_next = bytearray(ctx.graph.num_vertices)

@@ -229,6 +229,9 @@ class VectorEngine:
             tracer=tracer, sched=sched,
         )
         kernel = self.kernel
+        # the live states are this engine's array: run() checks it for
+        # divergence at each barrier, not ctx.states
+        kernel.watch_states = None
         self.ctx = kernel.ctx
         ctx = self.ctx
         kernel.declare_span(profile.span)
@@ -541,6 +544,10 @@ class VectorEngine:
             kernel.end_round(
                 round_index, int(idx.size), start_peak, updates_before
             )
+            if is_sum and not np.isfinite(states).all():
+                # diverged (see ExecutionKernel.end_round)
+                converged = False
+                break
             frontier = self._significant(pending, states)
         else:
             converged = False

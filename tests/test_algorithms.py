@@ -256,3 +256,64 @@ class TestDivergence:
         )
         assert math.isinf(result.states[2])
         assert result.converged is True
+
+
+class TestDivergenceHalt:
+    """A diverging sum-type run stops at the first round barrier whose
+    states hold a non-finite value."""
+
+    @pytest.fixture(scope="class")
+    def gl(self):
+        from repro.graph import datasets
+
+        return datasets.load("GL", scale=0.1)
+
+    def test_scalar_katz_stops_at_the_overflow(self, gl, monkeypatch):
+        import numpy as np
+
+        from repro import runtime
+        from repro.hardware import HardwareConfig
+        from repro.runtime.execore import ExecutionKernel
+
+        finite_at_barrier = []
+        end_round = ExecutionKernel.end_round
+
+        def spy(self, *args):
+            diverged = end_round(self, *args)
+            finite_at_barrier.append(bool(np.isfinite(self.ctx.states).all()))
+            return diverged
+
+        monkeypatch.setattr(ExecutionKernel, "end_round", spy)
+        result = runtime.run(
+            "depgraph-h", gl, algorithms.make("katz"),
+            HardwareConfig.scaled(num_cores=8),
+        )
+        assert result.converged is False
+        # every barrier before the last saw finite states: the run ended
+        # at the first barrier after the overflow
+        assert finite_at_barrier[-1] is False
+        assert all(finite_at_barrier[:-1])
+        assert result.rounds == len(finite_at_barrier)
+
+    def test_vector_katz_stops_at_the_overflow(self, gl):
+        import warnings
+
+        import numpy as np
+
+        from repro import runtime
+        from repro.hardware import HardwareConfig
+
+        def run(**kwargs):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return runtime.run(
+                    "depgraph-h", gl, algorithms.make("katz"),
+                    HardwareConfig.scaled(num_cores=8), backend="vector",
+                    **kwargs,
+                )
+
+        result = run()
+        assert result.converged is False
+        assert not np.isfinite(result.states).all()
+        # one round fewer ends before the overflow
+        assert np.isfinite(run(max_rounds=result.rounds - 1).states).all()

@@ -101,6 +101,20 @@ class TestGRASP:
 
         assert run("grasp") >= run("drrip")
 
+    def test_all_hot_set_evicts_its_oldest_line(self):
+        """A set holding only hot lines cannot age them to a victim; the
+        next install evicts the oldest of them instead of spinning."""
+        c = make_cache(size=512, ways=4, policy="grasp")
+        stride = c.num_sets
+        c.add_hot_range(0, 4 * stride)
+        hot = [i * stride for i in range(4)]
+        for line in hot:
+            c.access(line)
+        assert not c.access(4 * stride)  # a cold line in the same set
+        assert not c.probe(hot[0])
+        assert all(c.probe(line) for line in hot[1:] + [4 * stride])
+        assert c.writebacks == 1
+
     def test_clear_hot_ranges(self):
         c = make_cache(policy="grasp")
         c.add_hot_range(0, 10)

@@ -1,10 +1,11 @@
 """Tests for hub selection, the hub index, and the DDMU."""
 
-import math
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accel.depgraph.ddmu import DDMU
+from repro.accel.depgraph.hdtl import HDTL
 from repro.accel.depgraph.hub_index import EntryFlag, HubIndex
 from repro.accel.depgraph.hubs import HubSets, degree_threshold, select_hubs
 from repro.algorithms import SSSP, IncrementalPageRank, WCC
@@ -63,6 +64,46 @@ class TestHubSelection:
         assert 3 in hs
         hs.promote_core_vertex(1)  # hubs are not duplicated
         assert hs.size == 3
+
+
+CHAIN = 60
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hubs=st.sets(st.integers(0, CHAIN), max_size=8),
+    cap=st.integers(0, 6),
+    promotions=st.lists(st.integers(0, CHAIN), max_size=30),
+    root=st.integers(0, CHAIN - 1),
+)
+def test_members_is_hubs_and_core_vertices_in_place(hubs, cap, promotions, root):
+    """``members`` is always ``hubs | core_vertices``, promotions past the
+    cap included, and a walker built before the promotions sees them:
+    the set is mutated in place, never rebound."""
+    hs = HubSets(hubs, max_core_vertices=cap)
+    members = hs.members
+    walker = HDTL(chain_graph(CHAIN), members.__contains__, stack_depth=CHAIN + 1)
+    expected_core = []
+    for vertex in promotions:
+        fresh = vertex not in hubs and vertex not in expected_core
+        promoted = fresh and len(expected_core) < cap
+        if promoted:
+            expected_core.append(vertex)
+        assert hs.promote_core_vertex(vertex) is promoted
+        assert hs.members == hs.hubs | hs.core_vertices
+    assert hs.members is members
+    assert hs.core_vertices == set(expected_core)
+    assert hs.size == len(hubs | set(expected_core))
+    # the chain walk from ``root`` ends at the first H'' vertex past it
+    ends = []
+    walker.traverse(
+        root, set(), lambda *edge: True, lambda path, reason: ends.append((path, reason))
+    )
+    stops = [v for v in sorted(hubs | set(expected_core)) if v > root]
+    if stops:
+        assert ends == [(tuple(range(root, stops[0] + 1)), "hub")]
+    else:
+        assert ends == []
 
 
 class TestHubIndex:

@@ -1,7 +1,8 @@
 """``MemorySystem.access`` against a plain composition of ``Cache.access``.
 
-``MemorySystem.access`` resolves private LRU levels inline, on their
-sets; :meth:`Cache.access` stays the reference model of every level.  A
+``MemorySystem.access`` resolves private LRU levels and DRRIP L3 hits
+inline, on their sets, through per-core bindings made at construction;
+:meth:`Cache.access` stays the reference model of every level.  A
 random address stream driven through both must give the same latency for
 every access, the same hits, misses and writebacks at every level, the
 same ``AccessStats`` and the same cache contents (replacement order and
@@ -51,10 +52,14 @@ def reference_access(mem: MemorySystem, core: int, addr: int, write: bool, now: 
     return cycles + config.dram_latency
 
 
+CORES = 4
+
+
 def small_machine(l1: str, l2: str, l3: str, dram_channels: int) -> HardwareConfig:
-    """Tiny caches so a short stream exercises every eviction path."""
+    """Tiny caches so a short stream exercises every eviction path; four
+    cores on the 2x2 mesh, so the banks sit at different hop counts."""
     return replace(
-        HardwareConfig.scaled(num_cores=2),
+        HardwareConfig.scaled(num_cores=CORES),
         l1d=CacheConfig(4 * LINE, 2, 4, l1),
         l2=CacheConfig(16 * LINE, 4, 7, l2),
         l3=CacheConfig(64 * LINE, 4, 27, l3),
@@ -76,7 +81,7 @@ def snapshot(mem: MemorySystem):
 
 streams = st.lists(
     st.tuples(
-        st.integers(0, 1),  # core
+        st.integers(0, CORES - 1),  # core
         st.integers(0, 95),  # line (the L3 holds 64)
         st.integers(0, LINE - 1),  # byte within the line
         st.booleans(),  # write
@@ -103,7 +108,7 @@ def test_access_matches_cache_composition(l1, l2, l3, dram_channels, hot, stream
         # a GRASP hot region over the first 16 lines (L3 only)
         for mem in (fast, ref):
             mem.add_hot_range(BASE, BASE + 16 * LINE)
-    now = [0.0, 0.0]
+    now = [0.0] * CORES
     for core, line, byte, write in stream:
         addr = BASE + line * LINE + byte
         got = fast.access(core, addr, write, now[core])
@@ -116,24 +121,39 @@ def test_access_matches_cache_composition(l1, l2, l3, dram_channels, hot, stream
         assert fast.dram.stats_dict() == ref.dram.stats_dict()
 
 
-def test_cache_access_runs_only_for_non_lru_levels(monkeypatch):
-    """Private LRU levels never call Cache.access; other levels do."""
-    seen = set()
+def test_cache_access_runs_only_where_access_does_not_inline(monkeypatch):
+    """LRU private levels and DRRIP L3 hits never call Cache.access;
+    non-LRU private levels and LRU/GRASP L3 levels still do."""
+    calls = []
     original = Cache.access
 
     def spy(self, line, write=False):
-        seen.add(id(self))
-        return original(self, line, write)
+        hit = original(self, line, write)
+        calls.append((id(self), hit))
+        return hit
 
     monkeypatch.setattr(Cache, "access", spy)
-    for l2, expected in (("lru", ("l3",)), ("drrip", ("l2", "l3"))):
-        seen.clear()
-        mem = MemorySystem(small_machine("lru", l2, "drrip", 0))
-        for line in range(40):
-            mem.access(0, BASE + line * LINE)
+    for l2, l3, expected in (
+        ("lru", "drrip", set()),
+        ("drrip", "drrip", {"l2"}),
+        ("lru", "lru", {"l3"}),
+        ("lru", "grasp", {"l3"}),
+        ("grasp", "lru", {"l2", "l3"}),
+    ):
+        calls.clear()
+        mem = MemorySystem(small_machine("lru", l2, l3, 0))
+        # core 1 re-reads the lines core 0 brought in: it misses in its
+        # own L1 and L2 and hits in the shared L3
+        for core in (0, 1):
+            for line in range(12):
+                mem.access(core, BASE + line * LINE)
+        assert sum(c.hits for c in mem.l3) > 0
         levels = {"l1": mem.l1, "l2": mem.l2, "l3": mem.l3}
         called = {
             name for name, caches in levels.items()
-            if any(id(c) in seen for c in caches)
+            if any(id(c) == key for c in caches for key, _ in calls)
         }
-        assert called == set(expected)
+        assert called == expected, (l2, l3)
+        if "l3" in expected:
+            l3_ids = {id(c) for c in mem.l3}
+            assert any(hit for key, hit in calls if key in l3_ids)
