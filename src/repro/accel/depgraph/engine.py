@@ -19,6 +19,17 @@ engine timeline, through the memory hierarchy's one entry point
 bound once per engine).  ``fetch_state`` runs once per edge and issues
 the target's state and delta line fetches itself, back to back in one
 FIFO slot.
+
+Those two fetches land in the core's own L1 (the engine shares its
+core's caches), state line first, and the core's delta read-modify-write
+and state read for the same target come next, with no access in
+between.  So under an LRU L1 of at least two ways both core accesses
+hit, and the runtime declares that once per run
+(``SimContext.engines_prefetch_chain_lines``, which asks
+``MemorySystem.prefetched_hit_bindings``): the chain edge is then
+charged from per-run constants instead of two hierarchy walks.  A
+non-LRU or 1-way L1, and "fast" fidelity, keep the walks.  The engine's own fetches always
+walk the hierarchy.
 """
 
 from __future__ import annotations

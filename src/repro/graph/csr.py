@@ -31,7 +31,7 @@ modelled addresses, so simulated cycles are identical at every width.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class CSRGraph:
         would page an entire memory-mapped graph into RAM.
     """
 
-    __slots__ = ("offsets", "targets", "weights", "_reverse")
+    __slots__ = ("offsets", "targets", "weights", "_reverse", "_degrees")
 
     def __init__(
         self,
@@ -176,6 +176,7 @@ class CSRGraph:
         self.targets = targets
         self.weights = weights
         self._reverse: Optional["CSRGraph"] = None
+        self._degrees: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -298,7 +299,13 @@ class CSRGraph:
         return total
 
     def out_degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
+        """``v``'s out-degree, from a list of Python ints built on the
+        first call (the scalar PageRank family asks once per edge, and
+        degrees are fixed for the graph's lifetime, as ``reverse`` is)."""
+        degrees = self._degrees
+        if degrees is None:
+            degrees = self._degrees = self.out_degrees().tolist()
+        return degrees[v]
 
     def out_degrees(self) -> np.ndarray:
         """Array of out-degrees for every vertex."""

@@ -14,6 +14,15 @@ levels and hits in a DRRIP L3 bank are resolved inline on the sets.
 :class:`repro.hardware.cache.Cache` stays the reference model of every
 level: ``tests/test_memsys_reference.py`` checks that ``access()`` matches
 a plain composition of ``Cache.access`` calls, access for access.
+
+Hits are counted once, by the cache that took them: ``AccessStats``'
+``l1_hits``, ``l2_hits`` and ``l3_hits`` are sums of the caches' own
+``hits``.  That also counts the two L1 hits per DepGraph-H chain edge
+that ``SimContext.charge_chain_edge`` charges without calling
+``access()``: the engine has just fetched both lines into the core's
+L1, and :meth:`MemorySystem.prefetched_hit_bindings` says once per run
+whether that makes them hits by construction (an LRU L1 of at least two
+ways) and hands over the L1 bindings the charge resolves them on.
 """
 
 from __future__ import annotations
@@ -27,25 +36,41 @@ from .noc import MeshNoC, NoCTraffic
 
 
 class AccessStats:
-    """Aggregate counters for energy accounting and reports."""
+    """Aggregate counters for energy accounting and reports.
 
-    __slots__ = ("l1_hits", "l2_hits", "l3_hits", "dram_accesses", "noc_hop_count")
+    The hit counters are derived: every cache counts its own ``hits``,
+    and ``l1_hits``, ``l2_hits`` and ``l3_hits`` sum them over a level,
+    so a simulated hit bumps one counter.  DRAM accesses and NoC hops
+    are counted here."""
 
-    def __init__(self) -> None:
-        self.l1_hits = 0
-        self.l2_hits = 0
-        self.l3_hits = 0
+    __slots__ = ("_l1", "_l2", "_l3", "dram_accesses", "noc_hop_count")
+
+    #: the report's keys, in order
+    FIELDS = ("l1_hits", "l2_hits", "l3_hits", "dram_accesses", "noc_hop_count")
+
+    def __init__(
+        self, l1: List[Cache], l2: List[Cache], l3: List[Cache]
+    ) -> None:
+        self._l1 = l1
+        self._l2 = l2
+        self._l3 = l3
         self.dram_accesses = 0
         self.noc_hop_count = 0
 
-    def merged_with(self, other: "AccessStats") -> "AccessStats":
-        out = AccessStats()
-        for field in self.__slots__:
-            setattr(out, field, getattr(self, field) + getattr(other, field))
-        return out
+    @property
+    def l1_hits(self) -> int:
+        return sum(c.hits for c in self._l1)
+
+    @property
+    def l2_hits(self) -> int:
+        return sum(c.hits for c in self._l2)
+
+    @property
+    def l3_hits(self) -> int:
+        return sum(c.hits for c in self._l3)
 
     def as_dict(self) -> Dict[str, int]:
-        return {field: getattr(self, field) for field in self.__slots__}
+        return {field: getattr(self, field) for field in self.FIELDS}
 
 
 class MemorySystem:
@@ -77,7 +102,7 @@ class MemorySystem:
         self.noc = MeshNoC(
             config.mesh_width, config.mesh_height, config.noc_hop_cycles
         )
-        self.stats = AccessStats()
+        self.stats = AccessStats(self.l1, self.l2, self.l3)
         #: optional bandwidth-aware DRAM (config.dram_channels > 0)
         self.dram: Optional[DRAMModel] = (
             DRAMModel(config.dram_channels, config.dram_latency)
@@ -99,9 +124,9 @@ class MemorySystem:
         self._l2_ways = config.l2.ways
         # per-core bindings, so access() unpacks one tuple per level it
         # reaches: the core's L1 and its set list and mask; past an L1
-        # miss, the same for its L2 plus, per L3 bank, the round-trip hop
-        # count and the latency of an L3 hit (the L1/L2 lookups plus the
-        # NoC round trip plus the L3 itself)
+        # miss, the same for its L2 plus, per L3 bank, the
+        # round-trip hop count and the latency of an L3 hit (the L1/L2
+        # lookups plus the NoC round trip plus the L3 itself)
         self._private_l1 = [(c, c._sets, c._set_mask) for c in self.l1]
         self._beyond_l1 = []
         for core, l2 in enumerate(self.l2):
@@ -119,6 +144,23 @@ class MemorySystem:
         # attribute check when disabled.
         self._metrics = None
         self.noc_traffic: Optional[NoCTraffic] = None
+
+    def prefetched_hit_bindings(self) -> Optional[tuple]:
+        """How to resolve, without :meth:`access`, a core's accesses to
+        two lines just fetched into its own L1 (first ``a``, then ``b``,
+        no access in between) when it touches them again as ``b``, then
+        ``a``; None if those accesses must walk the hierarchy.
+
+        An LRU L1 of at least two ways still holds both lines with ``b``
+        the most recently used, so both accesses hit at the L1 latency
+        and the only replacement effect is moving ``a`` to the end of its
+        set (a no-op unless the two share a set).  A non-LRU or 1-way L1
+        proves nothing.  Where the rule holds, returns ``(l1 latency,
+        line shift, per-core (cache, sets, set mask))``: the caller bumps
+        the cache's ``hits`` by two and moves ``a`` itself."""
+        if self._l1_lru and self._l1_ways >= 2:
+            return self._l1_lat, self._line_shift, self._private_l1
+        return None
 
     # ------------------------------------------------------------------
     def access(
@@ -146,7 +188,6 @@ class MemorySystem:
             if line in cset:
                 cset.move_to_end(line)
                 l1.hits += 1
-                self.stats.l1_hits += 1
                 return self._l1_lat
             l1.misses += 1
             if len(cset) >= self._l1_ways:
@@ -154,7 +195,6 @@ class MemorySystem:
                 l1.writebacks += 1
             cset[line] = 0
         elif l1.access(line, write):
-            self.stats.l1_hits += 1
             return self._l1_lat
         l2, l2_sets, l2_mask, hops, l3_cycles = self._beyond_l1[core]
         if self._l2_lru:
@@ -162,7 +202,6 @@ class MemorySystem:
             if line in cset:
                 cset.move_to_end(line)
                 l2.hits += 1
-                self.stats.l2_hits += 1
                 return self._l2_hit_lat
             l2.misses += 1
             if len(cset) >= self._l2_ways:
@@ -170,7 +209,6 @@ class MemorySystem:
                 l2.writebacks += 1
             cset[line] = 0
         elif l2.access(line, write):
-            self.stats.l2_hits += 1
             return self._l2_hit_lat
         bank = (line ^ (line >> 7)) % self._l3_banks
         self.stats.noc_hop_count += hops[bank]
@@ -184,7 +222,6 @@ class MemorySystem:
             if line in cset:
                 cset[line] = 0
                 l3_bank.hits += 1
-                self.stats.l3_hits += 1
                 return cycles
             l3_bank.misses += 1
             l3_bank._install(cset, index, line, write)
@@ -193,7 +230,6 @@ class MemorySystem:
             hit = l3_bank.access(line, write)
             l3_bank.note_duel_outcome(index, hit)
             if hit:
-                self.stats.l3_hits += 1
                 return cycles
         self.stats.dram_accesses += 1
         if self.dram is not None:

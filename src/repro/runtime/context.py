@@ -7,6 +7,21 @@ accounting (compute vs memory vs overhead) that feeds Figure 9's breakdown.
 
 All runtimes charge costs exclusively through this object so that the
 figures compare like with like.
+
+Every memory charge goes through ``core_access`` except one that needs
+no walk: on DepGraph-H the engine fetches each chain target's state
+line, then its delta line, into the core's L1 just before the core's
+delta read-modify-write and state read.  Under an LRU L1 of at least
+two ways both are hits whatever the cache held before, so
+``charge_chain_edge`` charges them from per-run constants, bumps the
+L1's hit counter (``AccessStats`` derives its hit counts from the
+caches' own, so there is no second counter) and moves the state line to
+the end of its set, the one LRU effect the two accesses have.  The
+runtime opts in once per run
+(:meth:`SimContext.engines_prefetch_chain_lines`), and the memory
+system decides whether its L1 makes the rule hold
+(:meth:`MemorySystem.prefetched_hit_bindings`).  DepGraph-S, any other
+L1 and "fast" fidelity keep going through ``core_access``.
 """
 
 from __future__ import annotations
@@ -133,6 +148,39 @@ class SimContext:
         #: hierarchy's walk, or under "fast" fidelity a flat cost per
         #: access (same signature, no hierarchy state touched)
         self.core_access = _fast_access if self.fast else self.memsys.access
+        #: per-run constants of a chain edge whose lines the engine just
+        #: fetched: (delta RMW cycles, state read cycles, line shift,
+        #: per-core L1 bindings); None walks the hierarchy (see
+        #: :meth:`engines_prefetch_chain_lines`)
+        self._resident = None
+        timing = self.timing
+        #: the edge-op and update-op compute charges, SIMD factor applied
+        self._edge_op_cycles = (
+            timing.edge_op / timing.simd_factor if simd else timing.edge_op
+        )
+        self._update_op_cycles = (
+            timing.update_op / timing.simd_factor if simd else timing.update_op
+        )
+
+    def engines_prefetch_chain_lines(self) -> None:
+        """Declare that a per-core engine fetches every chain target's
+        state line, then its delta line, immediately before the core's
+        :meth:`charge_chain_edge` for that target (DepGraph-H's
+        ``DepGraphEngine.fetch_state``), on the core's own L1.
+
+        Decided once per run: where the memory system says the two
+        accesses hit by construction
+        (:meth:`MemorySystem.prefetched_hit_bindings`),
+        ``charge_chain_edge`` charges the delta RMW and the state read
+        as those L1 hits, with their one replacement effect, without
+        walking the hierarchy.  Under "fast" fidelity and elsewhere the
+        accesses keep going through :attr:`core_access`."""
+        if self.fast:
+            return
+        bindings = self.memsys.prefetched_hit_bindings()
+        if bindings is not None:
+            latency, line_shift, private_l1 = bindings
+            self._resident = (latency + 1, latency, line_shift, private_l1)
 
     # ------------------------------------------------------------------
     # Charging primitives.
@@ -204,8 +252,12 @@ class SimContext:
         the scatter's delta read-modify-write and the state read the
         significance check needs.  The same cycles, added in the same
         order, as ``charge_overhead`` (twice), ``charge_compute``,
-        ``charge_rmw`` and ``charge_mem(..., state=True)``.  Returns the
-        core's clock at the instant it took the edge."""
+        ``charge_rmw`` and ``charge_mem(..., state=True)``.  When the
+        run's engines prefetch the target's lines and those two accesses
+        hit by construction (:meth:`engines_prefetch_chain_lines`), their
+        latencies, hit counts and LRU order are applied without a
+        hierarchy walk.  Returns the core's clock at the instant it took
+        the edge."""
         overhead = self.overhead
         now = self.clock[core]
         if ready > now:
@@ -215,17 +267,26 @@ class SimContext:
         now += pop_cycles
         overhead[core] += pop_cycles
         taken = now
-        compute = self.timing.edge_op
-        if self.simd:
-            compute /= self.timing.simd_factor
+        compute = self._edge_op_cycles
         self.compute[core] += compute
         now += compute
-        access = self.core_access
-        delta = access(
-            core, self.delta_base + self.delta_stride * vertex, True, now
-        ) + 1
-        now += delta
-        state = access(core, self.state_base + self.state_stride * vertex, False, now)
+        resident = self._resident
+        if resident is None:
+            access = self.core_access
+            delta = access(
+                core, self.delta_base + self.delta_stride * vertex, True, now
+            ) + 1
+            now += delta
+            state = access(
+                core, self.state_base + self.state_stride * vertex, False, now
+            )
+        else:
+            delta, state, line_shift, private_l1 = resident
+            now += delta
+            l1, sets, mask = private_l1[core]
+            l1.hits += 2
+            line = (self.state_base + self.state_stride * vertex) >> line_shift
+            sets[line & mask].move_to_end(line)
         self.clock[core] = now + state
         self.mem[core] = self.mem[core] + delta + state
         self.state_mem[core] = self.state_mem[core] + delta + state
@@ -240,19 +301,9 @@ class SimContext:
         )
         self.mem[core] += cycles
         self.state_mem[core] += cycles
-        compute = self.timing.update_op
-        if self.simd:
-            compute /= self.timing.simd_factor
+        compute = self._update_op_cycles
         self.compute[core] += compute
         clock[core] = clock[core] + cycles + compute
-
-    def charge_write(self, core: int, addr: int) -> None:
-        """A write outside the state arrays (a queue slot, an index
-        entry): ``charge_mem(core, addr, True)`` without its defaults."""
-        clock = self.clock
-        cycles = self.core_access(core, addr, True, clock[core])
-        clock[core] += cycles
-        self.mem[core] += cycles
 
     # ------------------------------------------------------------------
     # Vertex primitives.

@@ -252,6 +252,8 @@ class _DepGraphExecution:
                 for engine in self.engines:
                     engine.metrics = ctx.metrics
             self.walkers = [engine.hdtl for engine in self.engines]
+            # each engine's fetch_state precedes the core's chain edge
+            ctx.engines_prefetch_chain_lines()
         else:
             self.engines = None
             self.walkers = [
@@ -273,7 +275,9 @@ class _DepGraphExecution:
         self._queue_base = layout.queues.base
         self._queue_stride = layout.queues.stride
         self._queue_slots = layout.queues.length
-        self._charge_write = ctx.charge_write
+        self._clock = ctx.clock
+        self._mem = ctx.mem
+        self._core_access = ctx.core_access
         self._is_significant = ctx.algorithm.is_significant
         #: whether the chain being walked is rooted in H''
         self._root_is_hub = False
@@ -713,9 +717,16 @@ class _DepGraphExecution:
         part = self._vertex_part[vertex]
         remote = self.part_owner[part] != core
         queue = self.queues[part]
-        self._charge_write(
-            core, self._queue_base + self._queue_stride * (part % self._queue_slots)
+        # the queue-slot write, on the core's clock
+        clock = self._clock
+        cycles = self._core_access(
+            core,
+            self._queue_base + self._queue_stride * (part % self._queue_slots),
+            True,
+            clock[core],
         )
+        clock[core] += cycles
+        self._mem[core] += cycles
         if vertex not in self.visited:
             if queue.push_current(vertex, remote=remote):
                 self.windex.pushed_current(part, vertex)

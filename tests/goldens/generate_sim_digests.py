@@ -7,9 +7,10 @@ counter), the cycle split, the access counts and, for the traced runs,
 every tracer event.  The configurations are the ones the execore goldens
 do not reach: a traced run (so NoC traffic and the engine's fetch-latency
 histogram are live), the bandwidth-aware DRAM (``dram_channels=12``), a
-GRASP and an LRU L3, a DRRIP L2, weighted sssp on DepGraph-S and
-DepGraph-H, the frontier and worklist families on the same hierarchies,
-and the four op classes of the ``sim-scalar`` benchmark workload.
+GRASP and an LRU L3, a DRRIP L2, a DRRIP and a 1-way L1, weighted sssp
+on DepGraph-S and DepGraph-H, the frontier and worklist families on the
+same hierarchies, and the four op classes of the ``sim-scalar``
+benchmark workload (wcc also under fast fidelity).
 
 The golden was captured before the scalar hot path was flattened, so
 ``tests/test_sim_digests.py`` asserting against it is a bit-identity
@@ -58,6 +59,10 @@ def _hardware(variant: str) -> HardwareConfig:
         return hw.with_l2(policy="drrip")
     if variant == "fast":
         return replace(hw, fidelity="fast")
+    if variant == "drrip-l1":
+        return replace(hw, l1d=replace(hw.l1d, policy="drrip"))
+    if variant == "l1-1way":
+        return replace(hw, l1d=replace(hw.l1d, ways=1))
     raise KeyError(variant)
 
 
@@ -103,6 +108,14 @@ def _configs() -> List[Config]:
         add("minnow", "PK", 0.15, True, "sssp", {"source": 0}, variant)
     add("hats", "PK", 0.15, True, "wcc", {})
     add("ligra", "GL", 0.1, True, "sssp", {"source": 0}, traced=True)
+    # L1s on which the engine's state-line prefetch does not make the
+    # core's chain-edge accesses hits by construction (a non-LRU or
+    # 1-way L1), fast fidelity on the sim-scalar median op class, and
+    # DepGraph-S (no engine) on a 1-way L1
+    for variant in ("drrip-l1", "l1-1way"):
+        add("depgraph-h", "PK", 0.15, True, "pagerank", pr, variant)
+    add("depgraph-h", "PK", 0.2, True, "wcc", {}, "fast")
+    add("depgraph-s", "PK", 0.15, True, "wcc", {}, "l1-1way")
     return out
 
 

@@ -24,17 +24,16 @@ BASE = 1 << 24  # a region base, as MemoryLayout aligns them
 
 
 def reference_access(mem: MemorySystem, core: int, addr: int, write: bool, now: float) -> float:
-    """L1 -> L2 -> banked L3 -> DRAM, every level through Cache.access."""
+    """L1 -> L2 -> banked L3 -> DRAM, every level through Cache.access
+    (the hit counters in ``AccessStats`` are the caches' own)."""
     config = mem.config
     stats = mem.stats
     line = addr // config.line_bytes
     cycles = config.l1d.latency
     if mem.l1[core].access(line, write):
-        stats.l1_hits += 1
         return cycles
     cycles += config.l2.latency
     if mem.l2[core].access(line, write):
-        stats.l2_hits += 1
         return cycles
     bank = (line ^ (line >> 7)) % config.l3_banks
     hops = mem.noc.hops(core, bank)
@@ -44,7 +43,6 @@ def reference_access(mem: MemorySystem, core: int, addr: int, write: bool, now: 
     hit = l3.access(line, write)
     l3.note_duel_outcome(line & (l3.num_sets - 1), hit)
     if hit:
-        stats.l3_hits += 1
         return cycles
     stats.dram_accesses += 1
     if mem.dram is not None:
