@@ -89,6 +89,9 @@ class DepGraphEngine:
         #: optional MetricRegistry attached by the runtime when observing
         self.metrics = None
         self._window: Deque[float] = deque()
+        #: the FIFO's capacity as a plain int, read on every fetch
+        #: (``configure`` refreshes it)
+        self._capacity = config.buffer_capacity
         #: ``note_consumed(core_time)``: the core popped one FIFO entry at
         #: ``core_time`` (the window's own append, run once per edge)
         self.note_consumed = self._window.append
@@ -116,6 +119,7 @@ class DepGraphEngine:
         the walker; the memory-mapped register writes cost a handful of
         engine cycles."""
         self.config = config
+        self._capacity = config.buffer_capacity
         self.hdtl.stack_depth = config.stack_depth
         self.time += 8  # register-write cost
         self.ops += 1
@@ -134,7 +138,7 @@ class DepGraphEngine:
         instructions to access the data from the L2 cache', Section
         III-B)."""
         window = self._window
-        if len(window) >= self.config.buffer_capacity:
+        if len(window) >= self._capacity:
             # FIFO full: the engine waits for the core to drain an entry.
             release = window.popleft()
             if release > self.time:
@@ -153,7 +157,7 @@ class DepGraphEngine:
         a round trip through :meth:`fetch`: this runs once per edge."""
         window = self._window
         time = self.time
-        if len(window) >= self.config.buffer_capacity:
+        if len(window) >= self._capacity:
             release = window.popleft()
             if release > time:
                 self.stall_cycles += release - time
@@ -203,9 +207,3 @@ class DepGraphEngine:
         for kind, count in self.hdtl.fetch_counts().items():
             out[f"fetch_{kind}"] = count
         return out
-
-    def charge_queue_op(self, write: bool = False) -> None:
-        self.time += self.memsys.access(
-            self.core, self.layout.queues.addr(self.core % self.layout.queues.length), write
-        )
-        self.ops += 1

@@ -76,11 +76,6 @@ class LocalCircularQueue:
     def current_size(self) -> int:
         return len(self._current)
 
-    def current_vertices(self) -> tuple:
-        """Snapshot of the queued current-round roots, front to back (read
-        by the scheduler's cost estimator; does not dequeue)."""
-        return tuple(self._current)
-
     def advance_round(self) -> int:
         """Promote next-round entries to current; returns how many."""
         promoted = len(self._next)

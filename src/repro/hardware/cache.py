@@ -12,6 +12,12 @@ The three policies are the ones swept in Figure 16(b) of the paper:
 
 Caches operate on line addresses; byte-to-line mapping lives in
 :class:`repro.hardware.hierarchy.MemorySystem`.
+
+``writebacks`` (evictions) is derived, not counted: every miss installs
+exactly one line and eviction is the only way a line leaves a set, so
+the evictions since the last :meth:`Cache.reset_stats` are the misses
+since then minus the growth in resident lines.  The eviction paths here
+and in ``MemorySystem.access`` update no counter.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ class Cache:
         "_set_mask",
         "hits",
         "misses",
-        "writebacks",
+        "_resident_at_reset",
         "_policy",
         "_hot_ranges",
         "_brip_counter",
@@ -68,7 +74,8 @@ class Cache:
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
-        self.writebacks = 0
+        #: lines resident at the last reset_stats (the writeback base)
+        self._resident_at_reset = 0
         self._policy = config.policy
         if self._policy not in ("lru", "drrip", "grasp"):
             raise ValueError(f"unknown policy {config.policy!r}")
@@ -145,9 +152,10 @@ class Cache:
         return self.RRPV_MAX - 1 if self._brip_counter == 0 else self.RRPV_MAX
 
     def _evict(self, cset: OrderedDict) -> None:
-        self.writebacks += 1
         if self._policy == "lru":
-            cset.popitem(last=False)
+            # positional: a keyword ``last=`` goes through the argument
+            # parser on every eviction
+            cset.popitem(False)
             return
         # RRIP victim search: evict a line with RRPV == max, aging otherwise.
         # GRASP never ages hot lines past max-1, preferring cold victims;
@@ -189,6 +197,17 @@ class Cache:
                 self._psel = min(1023, self._psel + 1)
 
     @property
+    def writebacks(self) -> int:
+        """Lines evicted since the last :meth:`reset_stats`: the misses
+        (each installed one line) less the lines still resident beyond
+        those resident at the reset."""
+        return self.misses - self._resident_lines() + self._resident_at_reset
+
+    def _resident_lines(self) -> int:
+        """How many lines the cache holds now."""
+        return sum(map(len, self._sets))
+
+    @property
     def accesses(self) -> int:
         return self.hits + self.misses
 
@@ -206,7 +225,8 @@ class Cache:
         }
 
     def reset_stats(self) -> None:
-        self.hits = self.misses = self.writebacks = 0
+        self.hits = self.misses = 0
+        self._resident_at_reset = self._resident_lines()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -23,6 +23,11 @@ that ``SimContext.charge_chain_edge`` charges without calling
 L1, and :meth:`MemorySystem.prefetched_hit_bindings` says once per run
 whether that makes them hits by construction (an LRU L1 of at least two
 ways) and hands over the L1 bindings the charge resolves them on.
+
+Evictions are not counted at all: ``Cache.writebacks`` is derived from
+the misses and the lines resident, so an inline LRU eviction here only
+pops the set's oldest line, as ``popitem(False)``: positional, because
+a ``last=`` keyword costs an argument-parser pass on every eviction.
 """
 
 from __future__ import annotations
@@ -191,8 +196,7 @@ class MemorySystem:
                 return self._l1_lat
             l1.misses += 1
             if len(cset) >= self._l1_ways:
-                cset.popitem(last=False)
-                l1.writebacks += 1
+                cset.popitem(False)
             cset[line] = 0
         elif l1.access(line, write):
             return self._l1_lat
@@ -205,8 +209,7 @@ class MemorySystem:
                 return self._l2_hit_lat
             l2.misses += 1
             if len(cset) >= self._l2_ways:
-                cset.popitem(last=False)
-                l2.writebacks += 1
+                cset.popitem(False)
             cset[line] = 0
         elif l2.access(line, write):
             return self._l2_hit_lat

@@ -149,8 +149,9 @@ class SimContext:
         #: access (same signature, no hierarchy state touched)
         self.core_access = _fast_access if self.fast else self.memsys.access
         #: per-run constants of a chain edge whose lines the engine just
-        #: fetched: (delta RMW cycles, state read cycles, line shift,
-        #: per-core L1 bindings); None walks the hierarchy (see
+        #: fetched, one tuple per core: (delta RMW cycles, state read
+        #: cycles, line shift, the core's L1, its sets, its set mask);
+        #: None walks the hierarchy (see
         #: :meth:`engines_prefetch_chain_lines`)
         self._resident = None
         timing = self.timing
@@ -180,7 +181,12 @@ class SimContext:
         bindings = self.memsys.prefetched_hit_bindings()
         if bindings is not None:
             latency, line_shift, private_l1 = bindings
-            self._resident = (latency + 1, latency, line_shift, private_l1)
+            # the cycles as floats: they only ever add to float clocks,
+            # where an int operand costs an unspecialised add (same sum)
+            self._resident = [
+                (float(latency + 1), float(latency), line_shift, l1, sets, mask)
+                for l1, sets, mask in private_l1
+            ]
 
     # ------------------------------------------------------------------
     # Charging primitives.
@@ -281,9 +287,8 @@ class SimContext:
                 core, self.state_base + self.state_stride * vertex, False, now
             )
         else:
-            delta, state, line_shift, private_l1 = resident
+            delta, state, line_shift, l1, sets, mask = resident[core]
             now += delta
-            l1, sets, mask = private_l1[core]
             l1.hits += 2
             line = (self.state_base + self.state_stride * vertex) >> line_shift
             sets[line & mask].move_to_end(line)

@@ -34,11 +34,19 @@ here additionally keeps a :class:`repro.runtime.execore.PartWorkIndex` in
 lockstep with the circular queues so "which core has work" and "what does
 this partition's queue cost" are array reads instead of queue scans (the
 seed dispatch loop's top host-time cost at full scale).
+
+The per-edge path binds nothing per call: each core's HDTL handlers and
+its ``enqueue(vertex)`` (queue-slot write plus push) are closures built
+once per run over lists the run mutates in place.  The edge-op count is
+not kept per edge either: the walker fetches exactly one edge per
+``on_edge`` call, so the run sums the walkers' ``edges_fetched`` into
+``edge_ops`` at its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -275,12 +283,15 @@ class _DepGraphExecution:
         self._queue_base = layout.queues.base
         self._queue_stride = layout.queues.stride
         self._queue_slots = layout.queues.length
-        self._clock = ctx.clock
-        self._mem = ctx.mem
-        self._core_access = ctx.core_access
-        self._is_significant = ctx.algorithm.is_significant
+        #: partition -> the address of its queue slot
+        self._queue_slot_addr = [
+            self._queue_base + self._queue_stride * (part % self._queue_slots)
+            for part in range(self.part_count)
+        ]
         #: whether the chain being walked is rooted in H''
         self._root_is_hub = False
+        #: per core, ``enqueue(vertex)``: bound once, like the handlers
+        self._enqueuers = [self._enqueuer(core) for core in range(cores)]
         self._handlers = [
             self._chain_handlers(
                 core, self.engines[core] if self.engines is not None else None
@@ -328,6 +339,8 @@ class _DepGraphExecution:
             converged = False
         if self.engines is not None:
             ctx.engine_ops += sum(engine.ops for engine in self.engines)
+        # the walker fetches one edge per on_edge call
+        ctx.edge_ops += sum(walker.edges_fetched for walker in self.walkers)
         self._flush_metrics()
         result = kernel.finish(converged)
         result.hub_index_entries = len(self.hub_index)
@@ -373,9 +386,6 @@ class _DepGraphExecution:
     # The work index keeps per-core entry counts and per-partition queue
     # costs current, so none of this rescans queues.
     # ------------------------------------------------------------------
-    def _core_has_work(self, core: int) -> bool:
-        return self.windex.core_count[core] > 0
-
     def _pick_part(self, core: int) -> Optional[int]:
         counts = self.windex.count_current
         current = self.current_part[core]
@@ -453,34 +463,22 @@ class _DepGraphExecution:
             if self.sched.partition_aware
             else self._maybe_steal
         )
+        cores = range(num_cores)
+        by_clock = clock.__getitem__
         while True:
-            # fused dispatch scan: min-clock core holding work (ties to the
-            # lowest id) plus the working-core count for the steal gate
-            best = -1
-            best_clock = _INF
-            working = 0
-            for core in range(num_cores):
-                if core_count[core]:
-                    working += 1
-                    candidate = clock[core]
-                    if candidate < best_clock:
-                        best_clock = candidate
-                        best = core
-            if best < 0:
+            # dispatch: the min-clock core holding work (min keeps the
+            # first of equal clocks, so ties go to the lowest id); fewer
+            # working cores than cores opens the steal gate
+            working = list(compress(cores, core_count))
+            if not working:
                 break
-            if work_stealing and working < num_cores:
+            if work_stealing and len(working) < num_cores:
                 steal()
                 # ownership may have moved: re-derive the dispatch choice
-                best = -1
-                best_clock = _INF
-                for core in range(num_cores):
-                    if core_count[core]:
-                        candidate = clock[core]
-                        if candidate < best_clock:
-                            best_clock = candidate
-                            best = core
-                if best < 0:  # pragma: no cover - steals never consume work
+                working = list(compress(cores, core_count))
+                if not working:  # pragma: no cover - steals never consume work
                     break
+            best = min(working, key=by_clock)
             part = self._pick_part(best)
             if part is None:  # pragma: no cover - defensive
                 continue
@@ -714,25 +712,43 @@ class _DepGraphExecution:
     def _enqueue_active(self, core: int, vertex: int) -> None:
         """Insert ``vertex`` into its owning partition's circular queue
         (current round when it has not been applied yet, else next round)."""
-        part = self._vertex_part[vertex]
-        remote = self.part_owner[part] != core
-        queue = self.queues[part]
-        # the queue-slot write, on the core's clock
-        clock = self._clock
-        cycles = self._core_access(
-            core,
-            self._queue_base + self._queue_stride * (part % self._queue_slots),
-            True,
-            clock[core],
-        )
-        clock[core] += cycles
-        self._mem[core] += cycles
-        if vertex not in self.visited:
-            if queue.push_current(vertex, remote=remote):
-                self.windex.pushed_current(part, vertex)
-        elif self._is_significant(self.ctx.pending[vertex], self.ctx.states[vertex]):
-            if queue.push_next(vertex, remote=remote):
-                self.windex.pushed_next(part, vertex)
+        self._enqueuers[core](vertex)
+
+    def _enqueuer(self, core: int):
+        """The core's ``enqueue(vertex)``: the queue-slot write on the
+        core's clock, then the push.  Built once per core, over lists
+        the run mutates in place (partition owners, queues, the visited
+        set), so the per-edge call binds nothing."""
+        ctx = self.ctx
+        vertex_part = self._vertex_part
+        part_owner = self.part_owner
+        queues = self.queues
+        slot_addr = self._queue_slot_addr
+        core_access = ctx.core_access
+        clock = ctx.clock
+        mem = ctx.mem
+        visited = self.visited
+        pending = ctx.pending
+        states = ctx.states
+        is_significant = ctx.algorithm.is_significant
+        pushed_current = self.windex.pushed_current
+        pushed_next = self.windex.pushed_next
+
+        def enqueue(vertex: int) -> None:
+            part = vertex_part[vertex]
+            cycles = core_access(core, slot_addr[part], True, clock[core])
+            clock[core] += cycles
+            mem[core] += cycles
+            queue = queues[part]
+            remote = part_owner[part] != core
+            if vertex not in visited:
+                if queue.push_current(vertex, remote):
+                    pushed_current(part, vertex)
+            elif is_significant(pending[vertex], states[vertex]):
+                if queue.push_next(vertex, remote):
+                    pushed_next(part, vertex)
+
+        return enqueue
 
     # ------------------------------------------------------------------
     def _walk_chain(self, core: int, root: int) -> None:
@@ -765,12 +781,14 @@ class _DepGraphExecution:
         hub_members = hubsets.members
         hub_active = self.hub_active
         walker = self.walkers[core]
-        enqueue = self._enqueue_active
+        enqueue = self._enqueuers[core]
         note_consumed = engine.note_consumed if engine is not None else None
+        # a float, like the clocks it adds to (an int costs an
+        # unspecialised add per edge; the sums are the same)
+        pop_cycles = float(BUFFER_POP_CYCLES)
 
         def on_edge(source: int, target: int, weight: float, depth: int) -> bool:
             influence = edge_compute(source, propval[source], weight, graph)
-            ctx.edge_ops += 1
             folded = accum(pending[target], influence)
             pending[target] = folded
             # The delta RMW and state read hit the private cache when the
@@ -784,14 +802,14 @@ class _DepGraphExecution:
                 # DEP_FETCH_EDGE: pop the FIFO, stalling if the engine is
                 # behind (its last entry is ready at the engine's time).
                 note_consumed(
-                    charge_chain_edge(core, target, engine.time, BUFFER_POP_CYCLES)
+                    charge_chain_edge(core, target, engine.time, pop_cycles)
                 )
 
             if not is_significant(folded, states[target]):
                 return False
             if target in visited:
                 # Re-activation: the vertex already ran this round.
-                enqueue(core, target)
+                enqueue(target)
                 return False
             if hub_active and target in hub_members:
                 # HDTL ends the path at the hub; the endpoint is
@@ -825,7 +843,7 @@ class _DepGraphExecution:
                     # hub-index entries; a single edge is already a direct
                     # dependency and is not worth an entry.
                     self._record_core_path(core, path, engine)
-            enqueue(core, endpoint)
+            enqueue(endpoint)
 
         return on_edge, on_path_end
 

@@ -1,6 +1,10 @@
 """Tests for the cache models (LRU / DRRIP / GRASP) and the hierarchy."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.cache import Cache
 from repro.hardware.config import CacheConfig, HardwareConfig
@@ -227,3 +231,94 @@ class TestHardwareConfig:
     def test_invalid_cores(self):
         with pytest.raises(ValueError):
             HardwareConfig(num_cores=0)
+
+
+# ----------------------------------------------------------------------
+# ``Cache.writebacks`` is derived (misses less the growth in resident
+# lines since the last reset); these count evictions independently, as
+# the lines that left the sets around each access.
+
+
+def _resident(cache):
+    return {line for cset in cache._sets for line in cset}
+
+
+_cache_streams = st.lists(
+    st.one_of(
+        st.integers(0, 47),  # a line
+        st.just(None),  # reset_stats
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    policy=st.sampled_from(("lru", "drrip", "grasp")),
+    num_sets=st.sampled_from((1, 2, 4)),
+    ways=st.integers(1, 4),
+    hot=st.sampled_from(((0, 0), (0, 8), (4, 20), (0, 48))),
+    stream=_cache_streams,
+)
+def test_writebacks_count_the_lines_that_left(policy, num_sets, ways, hot, stream):
+    """Random line streams with ``reset_stats`` at random points, on
+    small caches of every policy; GRASP gets hot ranges, up to every
+    line (all-hot sets), which only its oldest-line fallback can evict
+    from."""
+    c = Cache(CacheConfig(num_sets * ways * 64, ways, 4, policy), line_bytes=64)
+    assert c.num_sets == num_sets
+    if hot[1]:
+        c.add_hot_range(*hot)
+    left = 0
+    for line in stream:
+        if line is None:
+            c.reset_stats()
+            left = 0
+        else:
+            before = _resident(c)
+            c.access(line)
+            left += len(before - _resident(c))
+        assert c.writebacks == left
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    l1=st.sampled_from(("lru", "drrip", "grasp")),
+    l2=st.sampled_from(("lru", "drrip", "grasp")),
+    l3=st.sampled_from(("lru", "drrip", "grasp")),
+    stream=st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, 1), st.integers(0, 95)),  # (core, line)
+            st.just(None),  # reset_stats on every cache
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+)
+def test_hierarchy_writebacks_count_the_lines_that_left(l1, l2, l3, stream):
+    """The same count through ``MemorySystem.access``, whose private LRU
+    levels evict inline."""
+    config = replace(
+        HardwareConfig.scaled(num_cores=2),
+        l1d=CacheConfig(4 * 64, 2, 4, l1),
+        l2=CacheConfig(16 * 64, 4, 7, l2),
+        l3=CacheConfig(64 * 64, 4, 27, l3),
+        l3_banks=2,
+    )
+    ms = MemorySystem(config)
+    ms.add_hot_range(0, 16 * 64)
+    caches = ms.l1 + ms.l2 + ms.l3
+    left = [0] * len(caches)
+    for item in stream:
+        if item is None:
+            for c in caches:
+                c.reset_stats()
+            left = [0] * len(caches)
+            continue
+        core, line = item
+        before = [_resident(c) for c in caches]
+        ms.access(core, line * 64)
+        for i, c in enumerate(caches):
+            left[i] += len(before[i] - _resident(c))
+    assert [c.writebacks for c in caches] == left

@@ -161,3 +161,46 @@ class TestPartitionMachinery:
         _, result = run_execution(g, algorithms.SSSP(0), hw=HW4)
         assert "engine_stall_cycles" in result.extra
         assert result.extra["engine_stall_cycles"] >= 0.0
+
+
+class TestEdgeOpCount:
+    """``edge_ops`` is summed from the walkers' ``edges_fetched`` at run
+    end, not counted per edge: it must still be one per ``on_edge``
+    call."""
+
+    @pytest.mark.parametrize("hub_enabled", [True, False])
+    @pytest.mark.parametrize("hardware", [True, False])
+    def test_edge_operations_are_the_on_edge_calls(
+        self, monkeypatch, hardware, hub_enabled
+    ):
+        from repro.graph import generators
+
+        calls = [0]
+        handlers = _DepGraphExecution._chain_handlers
+
+        def counting_handlers(self, core, engine):
+            on_edge, on_path_end = handlers(self, core, engine)
+
+            def counted(source, target, weight, depth):
+                calls[0] += 1
+                return on_edge(source, target, weight, depth)
+
+            return counted, on_path_end
+
+        monkeypatch.setattr(_DepGraphExecution, "_chain_handlers", counting_handlers)
+        g = generators.power_law(400, 2400, alpha=1.8, seed=5, weighted=True)
+        g = generators.ensure_reachable(g, 0, seed=5)
+        system = "depgraph-h" if hardware else "depgraph-s"
+        execution = _DepGraphExecution(
+            g,
+            algorithms.IncrementalPageRank(),
+            HW4,
+            DepGraphOptions(hardware=hardware, hub_enabled=hub_enabled),
+            system,
+            4000,
+        )
+        result = execution.run()
+        assert calls[0] > 0
+        assert (result.shortcut_applications > 0) == hub_enabled
+        assert result.edge_operations == calls[0]
+        assert result.extra["obs.sim.edge_ops"] == calls[0]
