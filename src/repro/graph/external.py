@@ -50,7 +50,7 @@ import numpy as np
 from numpy.lib.format import open_memmap
 
 from . import io as graph_io
-from .csr import CSRGraph, narrow_index_dtype
+from .csr import narrow_index_dtype
 
 #: default edges per spooled chunk (~16 MiB of int64 pairs)
 DEFAULT_CHUNK_EDGES = 1 << 20

@@ -104,6 +104,9 @@ class SimContext:
         self._owner = self.partitioning.owner_map().tolist()
 
         n = graph.num_vertices
+        # lists for the scalar families' per-item access; a vector run
+        # replaces both with its float64 arrays when it finishes, which
+        # result() then reads without a copy
         self.states: List[float] = [
             algorithm.initial_state(v, graph) for v in range(n)
         ]

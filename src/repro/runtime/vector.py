@@ -8,7 +8,8 @@ the remaining host-time cost of a full-scale run (see
 as array operations instead:
 
 * the frontier is a boolean mask; apply and propagate are one ufunc per
-  accumulator kind (sum / min / max);
+  accumulator kind (sum / min / max), over the whole state and pending
+  arrays when the frontier holds every vertex;
 * the scatter gathers every frontier vertex's CSR slice in bulk
   (``np.repeat`` over degree counts) and folds the per-edge influences
   into the pending array with segment reductions
@@ -25,7 +26,12 @@ as array operations instead:
 * cycles are charged from **precomputed per-vertex cost vectors**
   (category-split compute/memory/overhead, flat
   :data:`repro.runtime.context.FAST_MEM_CYCLES` per modelled access)
-  folded per core with ``np.bincount`` over the partition owner map.
+  summed per core as one ``np.bincount`` per column over the partition
+  owner map would sum them; the sums that are fixed for the run (the
+  constant apply columns, a scatter by every non-isolated vertex) are
+  built once at set-up and are equal bit for bit;
+* the final states and pending deltas go back to the context as the
+  engine's arrays, not as lists.
 
 Everything still flows through :class:`repro.runtime.execore.ExecutionKernel`:
 round framing (``begin_round``/``end_round`` with the barrier), the
@@ -251,6 +257,7 @@ class VectorEngine:
         self.offsets = np.asarray(g.offsets, dtype=np.int64)
         self.targets = g.targets
         self.degrees = np.diff(self.offsets)
+        self.nonisolated = np.nonzero(self.degrees)[0]
         self.owner = np.asarray(ctx._owner, dtype=np.int64)
         self.kind = ctx.accum_kind
         inner = unwrap_algorithm(ctx.algorithm)
@@ -284,7 +291,7 @@ class VectorEngine:
         """
         self.per_source = graph.weights is None
         if self.per_source:
-            sources = np.nonzero(self.degrees)[0]
+            sources = self.nonisolated
             weights = np.ones(sources.size)
         else:
             sources = np.repeat(np.arange(self.n), self.degrees)
@@ -337,11 +344,17 @@ class VectorEngine:
         )
         is_sum = self.kind is AccumKind.SUM
 
-        # apply: delta+state reads, state+delta writes, one update op
-        self.apply_mem = np.full(n, 4.0 * FAST_MEM_CYCLES)
+        # apply: delta+state reads, state+delta writes, one update op;
+        # the same costs for every vertex
+        self.apply_costs = (
+            float(timing.update_op),
+            4.0 * FAST_MEM_CYCLES,
+            float(profile.vertex_overhead),
+        )
+        self.apply_compute, self.apply_mem, self.apply_overhead = (
+            np.full(n, cost) for cost in self.apply_costs
+        )
         self.apply_state_mem = self.apply_mem
-        self.apply_compute = np.full(n, float(timing.update_op))
-        self.apply_overhead = np.full(n, float(profile.vertex_overhead))
 
         # scatter: offsets read + streamed target/weight lines + one
         # RMW per edge into the target delta (+ a target-state read for
@@ -356,6 +369,42 @@ class VectorEngine:
         self.scatter_state_mem = scatter_state
         self.scatter_compute = deg * float(timing.edge_op)
         self.scatter_overhead = deg * float(profile.edge_overhead)
+        self._build_charge_sums()
+
+    def _build_charge_sums(self) -> None:
+        """Per-core cost sums that are fixed for the whole run.
+
+        ``np.bincount`` adds a core's weights one at a time, in vertex
+        order.  The apply columns are constants, so a core that applies
+        ``k`` vertices sums ``k`` copies of each: entry ``k`` of a
+        running-sum table built by ``np.cumsum``, which adds in the same
+        order and is equal bit for bit.  A round whose scattering
+        vertices are all the non-isolated ones makes the same scatter
+        sums every time: they are computed here, by the bincounts the
+        round would make.
+        """
+        cores = self.ctx.num_cores
+        owner = self.owner
+        # the cores own contiguous vertex ranges: core c's start is
+        # core_bounds[c], and the number of a sorted id set's vertices it
+        # owns is the gap between two binary searches
+        self.core_bounds = np.searchsorted(owner, np.arange(cores + 1))
+        depth = int(np.diff(self.core_bounds).max())
+        # compute, mem (also the state mem: apply_state_mem is apply_mem)
+        # and overhead; entry k of a table is the sum of k copies
+        self.apply_sum_tables = tuple(
+            np.concatenate(([0.0], np.cumsum(np.full(depth, cost))))
+            for cost in self.apply_costs
+        )
+        self.scatter_columns = (
+            self.scatter_compute, self.scatter_mem,
+            self.scatter_state_mem, self.scatter_overhead,
+        )
+        owners = owner[self.nonisolated]
+        self.full_scatter_sums = tuple(
+            np.bincount(owners, weights=column[self.nonisolated], minlength=cores)
+            for column in self.scatter_columns
+        )
 
     # ------------------------------------------------------------------
     # Vectorized accumulator semantics.
@@ -397,48 +446,67 @@ class VectorEngine:
         return influence
 
     # ------------------------------------------------------------------
+    def _apply(self, idx: np.ndarray) -> np.ndarray:
+        """Fold the frontier's pending deltas into its states and reset
+        them to the identity (one ufunc per accumulator kind).
+
+        ``idx`` is the frontier's sorted vertex ids.  A frontier that
+        holds every vertex works on the whole arrays, with no gather or
+        scatter; the elementwise arithmetic is the same.  Returns what
+        each frontier vertex propagates: the applied increment under
+        sum, the new state under min/max.
+        """
+        identity = self.ctx.identity
+        if idx.size == self.n:
+            old = self.states
+            new = self._fold(old, self.pending)
+            self.states = new
+            self.pending.fill(identity)
+        else:
+            old = self.states[idx]
+            new = self._fold(old, self.pending[idx])
+            self.states[idx] = new
+            self.pending[idx] = identity
+        return (new - old) if self.kind is AccumKind.SUM else new
+
     def _charge_round(
         self, applied: np.ndarray, scattering: np.ndarray
     ) -> np.ndarray:
         """Fold this round's per-vertex costs into the per-core clocks.
 
-        ``applied`` and ``scattering`` are sorted vertex ids.  Each
-        per-core sum is one ``np.bincount`` of a cost column over the
-        owners of those vertices, in vertex order.  The owners are
-        gathered once per side, and a side that holds every vertex (a
-        dense round) reads the columns as they are, with no gather.
+        ``applied`` and ``scattering`` are sorted vertex ids, the
+        scattering ones non-isolated.  Each per-core sum equals one
+        ``np.bincount`` of a cost column over the owners of those
+        vertices, in vertex order.  The apply side needs only each core's
+        vertex count (see :meth:`_build_charge_sums`), and a scatter side
+        that holds every non-isolated vertex reads the per-run sums.
 
         Returns the per-core applied-vertex counts (the batch sizes for
         span accounting).
         """
         ctx = self.ctx
         cores = ctx.num_cores
-        n = self.n
         owner = self.owner
 
-        def per_core(vertices: np.ndarray, *columns: np.ndarray):
-            if vertices.size == n:
-                owners = owner
-                weights = columns
-            else:
-                owners = owner[vertices]
-                weights = [column[vertices] for column in columns]
-            sums = [np.bincount(owners, weights=w, minlength=cores) for w in weights]
-            return owners, sums
+        counts = np.diff(np.searchsorted(applied, self.core_bounds))
+        a_compute, a_mem, a_overhead = (
+            table[counts] for table in self.apply_sum_tables
+        )
+        if scattering.size == self.nonisolated.size:
+            scatter_sums = self.full_scatter_sums
+        else:
+            owners = owner[scattering]
+            scatter_sums = [
+                np.bincount(owners, weights=column[scattering], minlength=cores)
+                for column in self.scatter_columns
+            ]
+        s_compute, s_mem, s_state_mem, s_overhead = scatter_sums
 
-        apply_owners, (a_compute, a_mem, a_state_mem, a_overhead) = per_core(
-            applied, self.apply_compute, self.apply_mem,
-            self.apply_state_mem, self.apply_overhead,
-        )
-        _, (s_compute, s_mem, s_state_mem, s_overhead) = per_core(
-            scattering, self.scatter_compute, self.scatter_mem,
-            self.scatter_state_mem, self.scatter_overhead,
-        )
         compute = a_compute + s_compute
         if self.profile.simd:
             compute = compute / ctx.timing.simd_factor
         mem = a_mem + s_mem
-        state_mem = a_state_mem + s_state_mem
+        state_mem = a_mem + s_state_mem
         overhead = a_overhead + s_overhead
         total = compute + mem + overhead
         for core in range(cores):
@@ -448,7 +516,7 @@ class VectorEngine:
                 ctx.mem[core] += float(mem[core])
                 ctx.state_mem[core] += float(state_mem[core])
                 ctx.overhead[core] += float(overhead[core])
-        return np.bincount(apply_owners, minlength=cores)
+        return counts
 
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
@@ -460,11 +528,11 @@ class VectorEngine:
         offsets = self.offsets
         targets = self.targets
         degrees = self.degrees
+        has_edges = degrees > 0
         is_sum = self.kind is AccumKind.SUM
-        identity = ctx.identity
 
-        states = np.asarray(ctx.states, dtype=np.float64)
-        pending = np.asarray(ctx.pending, dtype=np.float64)
+        self.states = np.asarray(ctx.states, dtype=np.float64)
+        self.pending = np.asarray(ctx.pending, dtype=np.float64)
         metrics.set("backend.vector", 1.0)
         batches = 0
         edges_gathered = 0
@@ -472,33 +540,26 @@ class VectorEngine:
         flushes = 0
 
         converged = True
-        frontier = self._significant(pending, states)
+        frontier = self._significant(self.pending, self.states)
         for round_index in range(self.max_rounds):
             if not frontier.any():
                 break
             start_peak, updates_before = kernel.begin_round(round_index)
             w0 = perf_counter_ns()
             idx = np.nonzero(frontier)[0]
+            full = idx.size == n
             clocks_before = list(ctx.clock)
 
-            # apply (one ufunc per accumulator kind)
-            deltas = pending[idx]
-            pending[idx] = identity
-            old = states[idx]
-            new = self._fold(old, deltas)
-            states[idx] = new
-            # sum propagates the applied increment, min/max the new state
-            values = (new - old) if is_sum else new
+            values = self._apply(idx)
             ctx.updates += int(idx.size)
             applied_total += int(idx.size)
 
             # scatter set: sum-type skips exact-zero propagations, and
             # zero-degree vertices have nothing to gather
+            scatter_mask = has_edges if full else degrees[idx] > 0
             if is_sum:
-                scatter_mask = (values != 0.0) & (degrees[idx] > 0)
-            else:
-                scatter_mask = degrees[idx] > 0
-            src = idx[scatter_mask]
+                scatter_mask = (values != 0.0) & scatter_mask
+            src = np.nonzero(scatter_mask)[0] if full else idx[scatter_mask]
             src_values = values[scatter_mask]
 
             if src.size:
@@ -515,7 +576,9 @@ class VectorEngine:
                     edges = np.arange(total_edges, dtype=np.int64) + firsts
                     tgt = targets[edges]
                 influence = self._influence(src, src_values, counts, edges, dense)
-                pending = self._fold(pending, self._segment(influence, tgt, n))
+                self.pending = self._fold(
+                    self.pending, self._segment(influence, tgt, n)
+                )
                 ctx.edge_ops += total_edges
                 edges_gathered += total_edges
 
@@ -544,16 +607,18 @@ class VectorEngine:
             kernel.end_round(
                 round_index, int(idx.size), start_peak, updates_before
             )
-            if is_sum and not np.isfinite(states).all():
+            if is_sum and not np.isfinite(self.states).all():
                 # diverged (see ExecutionKernel.end_round)
                 converged = False
                 break
-            frontier = self._significant(pending, states)
+            frontier = self._significant(self.pending, self.states)
         else:
             converged = False
 
-        ctx.states[:] = states.tolist()
-        ctx.pending[:] = pending.tolist()
+        # the context takes the arrays as they are: its result reads
+        # them without a copy
+        ctx.states = self.states
+        ctx.pending = self.pending
         metrics.set("backend.batches", float(batches))
         metrics.set("backend.edges_gathered", float(edges_gathered))
         metrics.set("backend.applied_vertices", float(applied_total))

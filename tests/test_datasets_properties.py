@@ -1,6 +1,5 @@
 """Tests for the dataset stand-ins and graph property measurements."""
 
-import numpy as np
 import pytest
 
 from repro.graph import datasets, generators

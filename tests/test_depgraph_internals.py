@@ -1,8 +1,6 @@
 """White-box tests of the DepGraph runtime on crafted graphs: core-path
 discovery, hub-index reuse, shortcut application, and reset-edge balance."""
 
-import math
-
 import numpy as np
 import pytest
 

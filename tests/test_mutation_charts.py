@@ -1,6 +1,5 @@
 """Tests for graph mutation helpers and ASCII chart rendering."""
 
-import numpy as np
 import pytest
 
 from repro.graph import generators

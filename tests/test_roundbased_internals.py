@@ -6,7 +6,6 @@ import pytest
 
 from repro import algorithms
 from repro.graph import generators
-from repro.graph.csr import CSRGraph
 from repro.hardware import HardwareConfig
 from repro.runtime.roundbased import (
     LIGRA,

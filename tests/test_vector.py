@@ -5,7 +5,9 @@ Three layers:
 * property-style unit tests for the segment-reduction primitives and the
   bulk CSR gather against brute-force loops over random CSR fragments;
 * cost-charging: the precomputed per-vertex cost vectors folded per core
-  must equal a brute-force per-vertex walk of the same model constants;
+  must equal a brute-force per-vertex walk of the same model constants,
+  and the per-core sums must equal, bit for bit, one ``np.bincount`` per
+  cost column (a ``hypothesis`` property with non-dyadic constants);
 * end-to-end equivalence: the full execore golden matrix re-run under
   ``backend="vector"`` — min/max-accumulator states bit-identical to
   the scalar goldens, sum-type within the documented
@@ -17,20 +19,24 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import algorithms, runtime
 from repro.graph import datasets
 from repro.graph.csr import CSRGraph
 from repro.hardware import HardwareConfig
-from repro.runtime import depgraph_rt, minnow_rt, roundbased
+from repro.hardware.config import CoreTiming
+from repro.runtime import depgraph_rt, minnow_rt, roundbased, vector
 from repro.runtime.vector import (
     VECTOR_SUM_TOLERANCE,
     VectorBackendError,
     VectorEngine,
+    VectorProfile,
     segment_max,
     segment_min,
     segment_sum,
@@ -215,6 +221,140 @@ class TestCostCharging:
             lo = int(lo_candidates[0])
             assert engine.scatter_mem[hi] > engine.scatter_mem[lo]
             assert engine.scatter_compute[hi] > engine.scatter_compute[lo]
+
+
+def _bincount_charge(engine, applied, scattering):
+    """The per-core applied counts, and copies of the context's clock and
+    category lists with the round folded in as the engine folds it, each
+    per-core sum one ``np.bincount`` of a cost column over the owners of
+    the applied or scattering vertices, in vertex order."""
+    ctx = engine.ctx
+    cores = ctx.num_cores
+
+    def per_core(vertices, *columns):
+        owners = engine.owner[vertices]
+        return owners, [
+            np.bincount(owners, weights=column[vertices], minlength=cores)
+            for column in columns
+        ]
+
+    apply_owners, (a_compute, a_mem, a_state_mem, a_overhead) = per_core(
+        applied, engine.apply_compute, engine.apply_mem,
+        engine.apply_state_mem, engine.apply_overhead,
+    )
+    _, (s_compute, s_mem, s_state_mem, s_overhead) = per_core(
+        scattering, engine.scatter_compute, engine.scatter_mem,
+        engine.scatter_state_mem, engine.scatter_overhead,
+    )
+    compute = a_compute + s_compute
+    if engine.profile.simd:
+        compute = compute / ctx.timing.simd_factor
+    mem = a_mem + s_mem
+    state_mem = a_state_mem + s_state_mem
+    overhead = a_overhead + s_overhead
+    total = compute + mem + overhead
+    lists = [list(getattr(ctx, name)) for name in _CLOCK_LISTS]
+    for core in range(cores):
+        if total[core]:
+            for out, part in zip(lists, (total, compute, mem, state_mem, overhead)):
+                out[core] += float(part[core])
+    return np.bincount(apply_owners, minlength=cores).tolist(), lists
+
+
+_CLOCK_LISTS = ("clock", "compute", "mem", "state_mem", "overhead")
+#: non-dyadic cost constants (tenths, or any float): sums of these
+#: round, so a change in the order of the additions shows in the last bit
+_COSTS = st.one_of(
+    st.integers(1, 99).map(lambda k: k / 10),
+    st.floats(0.01, 50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _charge_cases(draw):
+    """A random graph (isolated vertices included), engine constants and
+    sorted applied/scattering sets of the shapes the rounds produce."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 80))
+    density = draw(st.sampled_from([0.02, 0.05, 0.15, 0.4]))
+    src, dst = np.nonzero(rng.random((n, n)) < density)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    if not src.size:
+        src, dst = np.array([0]), np.array([1])
+    weights = rng.uniform(0.1, 10.0, src.size) if draw(st.booleans()) else None
+    graph = CSRGraph.from_arrays(n, src, dst, weights)
+    nonisolated = np.nonzero(np.diff(graph.offsets))[0]
+
+    def subset(pool, shape):
+        if shape == "full":
+            return pool
+        if shape == "empty":
+            return pool[:0]
+        if shape == "near-full":
+            return np.delete(pool, rng.choice(pool.size, min(3, pool.size - 1),
+                                              replace=False))
+        return pool[rng.random(pool.size) < rng.random()]
+
+    applied = subset(
+        np.arange(n, dtype=np.int64),
+        draw(st.sampled_from(["full", "near-full", "random"])),
+    )
+    scattering = subset(
+        nonisolated, draw(st.sampled_from(["full", "near-full", "random", "empty"]))
+    )
+    return {
+        "graph": graph,
+        "algorithm": "pagerank" if draw(st.booleans()) else "sssp",
+        "cores": draw(st.integers(1, 8)),
+        "timing": CoreTiming(
+            update_op=draw(_COSTS), edge_op=draw(_COSTS),
+            simd_factor=draw(st.sampled_from([1.0, 2.2, 3.0])),
+        ),
+        "mem_cycles": draw(_COSTS),
+        "profile": VectorProfile(
+            span="vertex", cat="x", simd=draw(st.booleans()),
+            vertex_overhead=draw(_COSTS), edge_overhead=draw(_COSTS),
+        ),
+        # zero clocks (round 0) show a sum's last bit; nonzero ones check
+        # the fold into the running totals
+        "clocks": draw(st.one_of(
+            st.just([0.0] * 8), st.lists(_COSTS, min_size=8, max_size=8)
+        )),
+        "applied": applied,
+        "scattering": scattering,
+    }
+
+
+class TestChargeExactness:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_charge_cases())
+    def test_per_core_sums_equal_per_column_bincounts(self, case):
+        graph = case["graph"]
+        if case["algorithm"] == "sssp" and not graph.is_weighted:
+            graph = graph.with_weights(np.ones(graph.num_edges))
+        hw = HardwareConfig.scaled(num_cores=case["cores"])
+        hw = replace(hw, timing=case["timing"])
+        saved = vector.FAST_MEM_CYCLES
+        vector.FAST_MEM_CYCLES = case["mem_cycles"]
+        try:
+            engine = VectorEngine(
+                graph, _make_algorithm(case["algorithm"]), hw, "ligra-o",
+                case["profile"],
+            )
+        finally:
+            vector.FAST_MEM_CYCLES = saved
+        ctx = engine.ctx
+        for name in _CLOCK_LISTS:
+            getattr(ctx, name)[:] = case["clocks"][: ctx.num_cores]
+
+        want_counts, want = _bincount_charge(
+            engine, case["applied"], case["scattering"]
+        )
+        counts = engine._charge_round(case["applied"], case["scattering"])
+        assert counts.tolist() == want_counts
+        for name, want_list in zip(_CLOCK_LISTS, want):
+            assert getattr(ctx, name) == want_list, name
 
 
 # ----------------------------------------------------------------------
