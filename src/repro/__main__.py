@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="sssp",
         choices=sorted({**algorithms.PAPER_ALGORITHMS, **algorithms.EXTENSION_ALGORITHMS}),
     )
-    run_p.add_argument("--scale", type=float, default=0.35)
+    run_p.add_argument("--scale", type=float, default=0.3)
     run_p.add_argument("--cores", type=int, default=64)
     run_p.add_argument(
         "--steal-policy", default="auto", choices=runtime.STEAL_POLICIES
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="run every system on one workload")
     cmp_p.add_argument("--dataset", default="LJ", choices=datasets.DATASET_NAMES)
     cmp_p.add_argument("--algorithm", default="sssp")
-    cmp_p.add_argument("--scale", type=float, default=0.35)
+    cmp_p.add_argument("--scale", type=float, default=0.3)
     cmp_p.add_argument("--cores", type=int, default=64)
     cmp_p.add_argument(
         "--steal-policy", default="auto", choices=runtime.STEAL_POLICIES

@@ -19,7 +19,6 @@ from typing import Optional, Set
 import numpy as np
 
 from ...graph.csr import CSRGraph
-from ...graph.partition import Partitioning
 
 #: The paper's default parameters (Section IV): lambda = 0.5%, beta = 0.001.
 DEFAULT_LAMBDA = 0.005
@@ -121,20 +120,3 @@ class HubSets:
     def size(self) -> int:
         return len(self.members)
 
-    def partition_bitmap(
-        self, graph: CSRGraph, partitioning: Partitioning, part_index: int
-    ) -> Set[int]:
-        """H''^m for one partition: its hub/core members plus boundary
-        vertices adjacent to hub/core vertices outside the partition."""
-        part = partitioning[part_index]
-        members = set()
-        for v in part.vertices():
-            if v in self:
-                members.add(v)
-                continue
-            for t in graph.neighbors(v):
-                t = int(t)
-                if t not in part and t in self:
-                    members.add(v)
-                    break
-        return members

@@ -163,15 +163,6 @@ class Algorithm(ABC):
         pending influence stays inactive (footnote 1 of the paper).
         """
 
-    # ------------------------------------------------------------------
-    # Convergence comparison helpers.
-    # ------------------------------------------------------------------
-    def states_close(self, a: float, b: float, tol: float = 1e-6) -> bool:
-        """Whether two final states agree (used by correctness tests)."""
-        if math.isinf(a) or math.isinf(b):
-            return a == b
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 

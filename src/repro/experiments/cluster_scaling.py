@@ -20,8 +20,8 @@ Three checks ride along, and all three land in the committed artifacts
 
 Environment knobs follow the harness conventions (``REPRO_SCALE``,
 ``REPRO_CORES``, ``REPRO_BACKEND``, ``REPRO_REORDER``); the defaults
-are the CI ``cluster-smoke`` config gated by ``benchmarks/check_slo.py
---section cluster`` against ``benchmarks/baselines.json``.
+are the CI ``cluster-smoke`` config gated by ``benchmarks/gate.py
+cluster`` against ``benchmarks/baselines.json``.
 """
 
 from __future__ import annotations

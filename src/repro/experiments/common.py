@@ -46,7 +46,7 @@ def _env_str(name: str, default: str) -> str:
 class ExperimentConfig:
     """Knobs common to every experiment."""
 
-    scale: float = _env_float("REPRO_SCALE", 0.35)
+    scale: float = _env_float("REPRO_SCALE", 0.3)
     cores: int = _env_int("REPRO_CORES", 64)
     #: vertex ordering applied to every run (``REPRO_REORDER`` overrides;
     #: see :mod:`repro.graph.reorder`)

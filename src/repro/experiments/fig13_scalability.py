@@ -27,6 +27,9 @@ def run(
     config = config or ExperimentConfig()
     cache = cache or WorkloadCache(config)
     steps = tuple(c for c in CORE_STEPS if c <= config.cores) or (config.cores,)
+    if len(steps) == 1 and steps[0] > 1:
+        # a one-row sweep cannot show scaling: add half the cores
+        steps = (steps[0] // 2,) + steps
     table = ExperimentTable(
         "fig13",
         f"scalability over cores ({dataset} stand-in, {algorithm})",

@@ -42,7 +42,6 @@ another property the bit-identity checks rely on.
 
 from __future__ import annotations
 
-import glob
 import os
 from typing import List, Optional, Tuple
 
@@ -361,81 +360,3 @@ def stream_power_law(
         )
     finally:
         spool.cleanup()
-
-
-def stream_rmat(
-    out_dir: str,
-    scale: int,
-    edge_factor: int = 16,
-    *,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed: int = 0,
-    weighted: bool = False,
-    chunk_edges: int = DEFAULT_CHUNK_EDGES,
-    spool_dir: Optional[str] = None,
-) -> str:
-    """Streamed R-MAT generator (Graph500 parameters by default).
-
-    Each chunk runs the full per-level recursion on chunk-sized arrays
-    before spooling, so resident state is one chunk regardless of the
-    total edge count.
-    """
-    num_vertices = 1 << scale
-    num_edges = num_vertices * edge_factor
-    rng = np.random.default_rng(seed)
-    spool = EdgeSpool(
-        spool_dir or os.path.join(out_dir, "spool"), chunk_edges
-    )
-    draws = int(num_edges * 1.35)
-    drawn = 0
-    while drawn < draws:
-        batch = min(chunk_edges, draws - drawn)
-        src = np.zeros(batch, dtype=np.int64)
-        dst = np.zeros(batch, dtype=np.int64)
-        for _level in range(scale):
-            r = rng.random(batch)
-            bit_src = (r >= a + b).astype(np.int64)
-            r2 = rng.random(batch)
-            top = np.where(
-                bit_src == 0, a / (a + b), c / (c + (1 - a - b - c))
-            )
-            bit_dst = (r2 >= top).astype(np.int64)
-            src = (src << 1) | bit_src
-            dst = (dst << 1) | bit_dst
-        spool.append(src, dst)
-        drawn += batch
-    chunks = spool.close()
-    try:
-        return build_csr_from_spool(
-            chunks,
-            num_vertices,
-            out_dir,
-            weighted=weighted,
-            seed=seed,
-        )
-    finally:
-        spool.cleanup()
-
-
-def reference_edge_set(
-    chunk_paths: List[str], num_vertices: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """In-RAM reference of what the external build should produce:
-    the (src, dst)-sorted unique non-self-loop edge set.  Test-support
-    only — this materializes everything the builder exists to avoid."""
-    all_src, all_dst = [], []
-    for src, dst in _iter_chunks(chunk_paths):
-        all_src.append(src)
-        all_dst.append(dst)
-    src = np.concatenate(all_src) if all_src else np.zeros(0, np.int64)
-    dst = np.concatenate(all_dst) if all_dst else np.zeros(0, np.int64)
-    key = src * np.int64(num_vertices) + dst
-    _, idx = np.unique(key, return_index=True)
-    order = np.lexsort((dst[idx], src[idx]))
-    return src[idx][order], dst[idx][order]
-
-
-def _spool_chunk_paths(directory: str) -> List[str]:
-    return sorted(glob.glob(os.path.join(directory, "chunk_*.npz")))

@@ -28,16 +28,6 @@ from typing import List, Optional, Tuple
 from .config import CacheConfig
 
 
-class ReplacementPolicy:
-    """Per-set replacement state; subclasses implement the three policies."""
-
-    def lookup(self, tags: "OrderedDict", tag: int) -> bool:
-        raise NotImplementedError
-
-    def insert(self, tags: "OrderedDict", tag: int, ways: int, hot: bool) -> None:
-        raise NotImplementedError
-
-
 class Cache:
     """A single set-associative cache level.
 

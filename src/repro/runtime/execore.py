@@ -30,7 +30,7 @@ times:
   whose states went non-finite, so the family stops it as diverged;
 * **result construction** — :meth:`finish` flushes the per-span cycle
   accounting into ``obs.span.*`` metrics (always on, deterministic —
-  the perf gate in ``benchmarks/check_baselines.py`` reads them) and
+  the perf gate in ``benchmarks/gate.py fig11`` reads them) and
   builds the :class:`ExecutionResult`.
 
 Item processing goes through :meth:`ExecutionKernel.process_item`,

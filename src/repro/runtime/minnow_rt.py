@@ -93,12 +93,6 @@ class _MinnowExecution:
             self._urgency = lambda pending: -pending
 
     # ------------------------------------------------------------------
-    def _priority(self, vertex: int, value: Optional[float] = None) -> float:
-        """Smaller = more urgent; ``value`` overrides the committed pending
-        (the pushing core ranks by the delta it can see)."""
-        pending = self.ctx.pending[vertex] if value is None else value
-        return self._urgency(pending)
-
     def run(self, max_pops: Optional[int] = None) -> ExecutionResult:
         ctx = self.ctx
         kernel = self.kernel
@@ -237,17 +231,6 @@ class _MinnowExecution:
         return True
 
     # ------------------------------------------------------------------
-    def _prefetched_read(self, core: int, addr: int) -> None:
-        """Worklist-directed prefetch: the engine pays the miss, the core
-        pays the hit."""
-        ctx = self.ctx
-        engine = self.prefetchers[core]
-        ready = engine.fetch(ctx.mem_cost(core, addr))
-        if ready > ctx.clock[core]:
-            ctx.charge_overhead(core, ready - ctx.clock[core])
-        ctx.charge_mem(core, addr)
-        engine.note_consumed(ctx.clock[core])
-
     def _process_inner(self, core: int, vertex: int) -> None:
         ctx = self.ctx
         algorithm = ctx.algorithm

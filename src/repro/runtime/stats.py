@@ -88,10 +88,6 @@ class ExecutionResult:
         ratio = min(1.0, sequential_updates / self.total_updates)
         return ratio * self.utilization()
 
-    def useless_utilization(self, sequential_updates: int) -> float:
-        """r_u = U - r_e."""
-        return self.utilization() - self.effective_utilization(sequential_updates)
-
     @property
     def state_processing_fraction(self) -> float:
         """Fraction of busy time spent in vertex-state processing (Figure 9's

@@ -138,7 +138,7 @@ class QueryEngine:
     ``baseline_dir`` (optional) is the cross-engine inheritance spool:
     converged baselines are checkpointed there after every run, and a
     lineage with no in-memory baseline checks the spool before running
-    cold (see :meth:`install_baseline` / :meth:`save_baselines`).
+    cold (see :meth:`install_baseline`).
     """
 
     def __init__(
@@ -336,53 +336,14 @@ class QueryEngine:
     # never sees a half-written baseline.  Lineage affinity (cluster
     # routing) means at most one writer per lineage, so no shared
     # manifest is needed and concurrent workers never collide.
-    def save_baselines(self, path: Optional[str] = None) -> int:
-        """Checkpoint every retained baseline; returns how many."""
-        target = path or self.baseline_dir
-        if target is None:
-            raise ValueError("no baseline directory given")
-        count = 0
-        for algorithm, params, version, states in self.export_baselines():
-            self._spool_write(algorithm, params, version, states, target)
-            count += 1
-        return count
-
-    def load_baselines(self, path: Optional[str] = None) -> int:
-        """Install every baseline persisted under ``path``; returns how
-        many were loaded (all marked inherited)."""
-        source = path or self.baseline_dir
-        if source is None:
-            raise ValueError("no baseline directory given")
-        count = 0
-        if not os.path.isdir(source):
-            return count
-        for name in sorted(os.listdir(source)):
-            if not name.endswith(".json"):
-                continue
-            meta = self._read_meta(os.path.join(source, name))
-            if meta is None:
-                continue
-            algorithm, params, version, states_file = meta
-            states_path = os.path.join(source, states_file)
-            if not os.path.exists(states_path):
-                continue
-            with np.load(states_path) as data:
-                states = data["states"]
-            self.install_baseline(
-                algorithm, dict(params), version, states, inherited=True
-            )
-            count += 1
-        return count
-
     def _spool_write(
         self,
         algorithm: str,
         params: ParamsKey,
         version: int,
         states: np.ndarray,
-        target: Optional[str] = None,
     ) -> None:
-        target = target or self.baseline_dir
+        target = self.baseline_dir
         os.makedirs(target, exist_ok=True)
         digest = lineage_digest(algorithm, params)
         states_path = os.path.join(target, f"{digest}.npz")

@@ -44,7 +44,7 @@ samples, and the published snapshot chain (digested by
 :func:`chain_digest`) all replay exactly.  ``python -m repro stream``
 drives one run; ``python -m repro experiment stream`` sweeps cadence
 levels with cold controls into ``results/stream_ingest.*``, gated in CI
-by ``benchmarks/check_slo.py --section stream`` (the ``stream-smoke``
+by ``benchmarks/gate.py stream`` (the ``stream-smoke``
 job).
 """
 

@@ -3,7 +3,7 @@
 
 The goldens snapshot converged states and headline counters for every
 registry system (plus a steal-policy / reordering sweep over the three
-runtime families) at the perf-gate smoke config (GL, scale 0.05, 8
+runtime families) at the fig11 gate smoke config (GL, scale 0.05, 8
 cores).  They were first captured at the pre-execore seed (commit
 2332d32, before ``repro.runtime.execore`` existed), so
 ``tests/test_execore.py`` asserting against them is a direct

@@ -6,7 +6,7 @@ streams (checked against reference models), the scalar-vs-vector serve
 differential, bit-determinism of same-seed traffic runs (counters and
 latency histograms), admission-control edge cases (queue-full
 shed-newest ordering, the exact deadline-boundary cycle, zero-capacity
-queues and caches), and the sweep artifacts + ``check_slo.py`` gate.
+queues and caches), and the sweep artifacts + the ``gate.py traffic`` gate.
 """
 
 import importlib.util
@@ -393,9 +393,9 @@ class TestHarnessBehaviour:
             run_level(fast_config(mode="oscillating"), 1.0)
 
 
-def load_check_slo():
+def load_gate():
     spec = importlib.util.spec_from_file_location(
-        "check_slo", REPO_ROOT / "benchmarks" / "check_slo.py"
+        "gate", REPO_ROOT / "benchmarks" / "gate.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -432,113 +432,113 @@ def synthetic_metrics(tmp_path, p95=95_000.0, mean=50_000.0, shed=0.0,
 
 class TestCheckSLOGate:
     def test_update_then_check_round_trip(self, tmp_path, capsys):
-        check_slo = load_check_slo()
+        gate = load_gate()
         metrics = synthetic_metrics(tmp_path)
         baselines = tmp_path / "baselines.json"
-        argv = ["--metrics", str(metrics), "--baselines", str(baselines)]
-        assert check_slo.main(["--update"] + argv) == 0
-        assert check_slo.main(argv) == 0
+        argv = ["traffic", "--metrics", str(metrics), "--baselines", str(baselines)]
+        assert gate.main(argv + ["--update"]) == 0
+        assert gate.main(argv) == 0
         payload = json.loads(baselines.read_text(encoding="utf-8"))
         assert "closed@1" in payload["traffic"]["levels"]
 
     def test_update_preserves_foreign_sections(self, tmp_path):
-        check_slo = load_check_slo()
+        gate = load_gate()
         baselines = tmp_path / "baselines.json"
         baselines.write_text(json.dumps({"runs": {"keep": 1}}))
         metrics = synthetic_metrics(tmp_path)
-        check_slo.main(
-            ["--update", "--metrics", str(metrics),
+        gate.main(
+            ["traffic", "--update", "--metrics", str(metrics),
              "--baselines", str(baselines)]
         )
         payload = json.loads(baselines.read_text(encoding="utf-8"))
-        assert payload["runs"] == {"keep": 1}  # check_baselines.py's key
+        assert payload["runs"] == {"keep": 1}  # a foreign key survives
         assert "traffic" in payload
 
     def test_p95_regression_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
+        gate = load_gate()
         baselines = tmp_path / "baselines.json"
         good = synthetic_metrics(tmp_path)
-        check_slo.main(
-            ["--update", "--metrics", str(good), "--baselines", str(baselines)]
+        gate.main(
+            ["traffic", "--update", "--metrics", str(good), "--baselines", str(baselines)]
         )
         slow = synthetic_metrics(
             tmp_path, p95=95_000.0 * 1.26 + 5_001.0, cold_p95=10**9
         )
-        assert check_slo.main(
-            ["--metrics", str(slow), "--baselines", str(baselines)]
+        assert gate.main(
+            ["traffic", "--metrics", str(slow), "--baselines", str(baselines)]
         ) == 1
         assert "p95 latency" in capsys.readouterr().out
 
     def test_shed_rate_regression_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
+        gate = load_gate()
         baselines = tmp_path / "baselines.json"
         good = synthetic_metrics(tmp_path)
-        check_slo.main(
-            ["--update", "--metrics", str(good), "--baselines", str(baselines)]
+        gate.main(
+            ["traffic", "--update", "--metrics", str(good), "--baselines", str(baselines)]
         )
         shedding = synthetic_metrics(tmp_path, shed=0.06)
-        assert check_slo.main(
-            ["--metrics", str(shedding), "--baselines", str(baselines)]
+        assert gate.main(
+            ["traffic", "--metrics", str(shedding), "--baselines", str(baselines)]
         ) == 1
         assert "shed rate" in capsys.readouterr().out
 
     def test_warm_losing_to_cold_control_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
+        gate = load_gate()
         baselines = tmp_path / "baselines.json"
         good = synthetic_metrics(tmp_path)
-        check_slo.main(
-            ["--update", "--metrics", str(good), "--baselines", str(baselines)]
+        gate.main(
+            ["traffic", "--update", "--metrics", str(good), "--baselines", str(baselines)]
         )
         # mean not below the control: caching + warm-start stopped helping
         lazy = synthetic_metrics(tmp_path, mean=200_000.0)
-        assert check_slo.main(
-            ["--metrics", str(lazy), "--baselines", str(baselines)]
+        assert gate.main(
+            ["traffic", "--metrics", str(lazy), "--baselines", str(baselines)]
         ) == 1
         assert "not below cold control" in capsys.readouterr().out
         # p95 more than 10% past the control fails too
         tail = synthetic_metrics(tmp_path, p95=90_000.0 * 1.11)
-        assert check_slo.main(
-            ["--metrics", str(tail), "--baselines", str(baselines)]
+        assert gate.main(
+            ["traffic", "--metrics", str(tail), "--baselines", str(baselines)]
         ) == 1
 
     def test_config_mismatch_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
+        gate = load_gate()
         baselines = tmp_path / "baselines.json"
         good = synthetic_metrics(tmp_path)
-        check_slo.main(
-            ["--update", "--metrics", str(good), "--baselines", str(baselines)]
+        gate.main(
+            ["traffic", "--update", "--metrics", str(good), "--baselines", str(baselines)]
         )
         payload = json.loads(good.read_text(encoding="utf-8"))
         payload["config"]["seed"] = 42
         drifted = tmp_path / "drifted.json"
         drifted.write_text(json.dumps(payload), encoding="utf-8")
-        assert check_slo.main(
-            ["--metrics", str(drifted), "--baselines", str(baselines)]
+        assert gate.main(
+            ["traffic", "--metrics", str(drifted), "--baselines", str(baselines)]
         ) == 1
         out = capsys.readouterr().out
         assert "seed" in out and "42" in out
 
     def test_missing_level_fails(self, tmp_path, capsys):
-        check_slo = load_check_slo()
+        gate = load_gate()
         baselines = tmp_path / "baselines.json"
         good = synthetic_metrics(tmp_path)
-        check_slo.main(
-            ["--update", "--metrics", str(good), "--baselines", str(baselines)]
+        gate.main(
+            ["traffic", "--update", "--metrics", str(good), "--baselines", str(baselines)]
         )
         payload = json.loads(good.read_text(encoding="utf-8"))
         payload["levels"]["closed@2"] = payload["levels"].pop("closed@1")
         renamed = tmp_path / "renamed.json"
         renamed.write_text(json.dumps(payload), encoding="utf-8")
-        assert check_slo.main(
-            ["--metrics", str(renamed), "--baselines", str(baselines)]
+        assert gate.main(
+            ["traffic", "--metrics", str(renamed), "--baselines", str(baselines)]
         ) == 1
         assert "missing from the sweep" in capsys.readouterr().out
 
     def test_committed_baselines_pass_against_committed_artifact(self):
         metrics = REPO_ROOT / "results" / "traffic_slo.metrics.json"
         baselines = REPO_ROOT / "benchmarks" / "baselines.json"
-        assert load_check_slo().main(
-            ["--metrics", str(metrics), "--baselines", str(baselines)]
+        assert load_gate().main(
+            ["traffic", "--metrics", str(metrics), "--baselines", str(baselines)]
         ) == 0
 
 
