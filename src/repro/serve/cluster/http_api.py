@@ -19,23 +19,26 @@ Endpoints::
     GET  /readyz   readiness (every worker slot alive; 503 otherwise)
     GET  /metrics  the aggregated obs.* snapshot across all workers
 
-Concurrency model — the **admission/dispatch loop**: the event loop
-owns the service.  Every query handler performs *admission* (a
-``submit`` call, which applies the bounded-queue shed-newest policy)
-and then parks on a future; a single background dispatcher task pulls
-batches with ``dispatch_next`` and resolves the futures of every
-request a batch answered.  Queries that arrive while a batch is in
-flight coalesce in the service's batcher exactly as they do offline.
-All service interaction runs on one single-threaded executor, so the
-deterministic dispatcher is never entered concurrently while the event
-loop stays free to answer health and metrics probes.
+Concurrency model — **one thread**: the event loop owns the service
+and calls it directly.  A query handler *admits* its request (a
+``submit`` call, which applies the bounded-queue shed-newest policy),
+parks a waiter, and yields one loop turn, so requests the loop has
+already read are admitted into the same batch and identical concurrent
+queries coalesce in the service's batcher exactly as they do offline.
+The first handler to resume with its waiter still pending drains the
+batcher inline with ``dispatch_next`` and resolves the waiters of every
+request the batches answered.  The service is not re-entrant and every
+call runs on the loop, so it is never entered concurrently and no
+request crosses a thread.  The trade-off: the loop is busy while a
+batch runs, so ``/healthz`` and request parsing wait for that batch.
+No query concurrency is lost by it, since batches run one at a time
+either way.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Set, Tuple
 
 from ..service import ServeResponse
@@ -92,16 +95,9 @@ class ClusterHTTPServer:
         self.service = service
         self.host = host
         self.port = port
-        #: all service calls funnel through this one thread: admission
-        #: and dispatch stay serialized (the service is not re-entrant)
-        #: without blocking the event loop
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-dispatch"
-        )
+        #: admitted request id -> the future its handler awaits
         self._waiters: Dict[int, asyncio.Future] = {}
-        self._work = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._dispatcher: Optional[asyncio.Task] = None
         #: open connection handlers, cancelled by stop()
         self._connections: Set[asyncio.Task] = set()
 
@@ -111,7 +107,6 @@ class ClusterHTTPServer:
     async def start(self) -> Tuple[str, int]:
         """Bind and start serving; returns the bound (host, port) —
         meaningful with ``port=0`` (ephemeral port)."""
-        self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -125,67 +120,51 @@ class ClusterHTTPServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         for task in self._connections:
             task.cancel()
         await asyncio.gather(*self._connections, return_exceptions=True)
-        self._pool.shutdown(wait=False)
 
     # ------------------------------------------------------------------
-    # The admission/dispatch loop.
+    # Admission and inline dispatch.
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        """Drain the service's batcher whenever admissions signal work."""
-        loop = asyncio.get_event_loop()
-        while True:
-            await self._work.wait()
-            try:
-                responses = await loop.run_in_executor(
-                    self._pool, self.service.dispatch_next
-                )
-            except Exception as exc:  # noqa: BLE001 - surface, don't hang
-                # a batch the service could not serve (e.g. repeated
-                # worker deaths): fail its waiters instead of letting
-                # their requests hang, and keep draining the queue
-                for waiter in list(self._waiters.values()):
-                    if not waiter.done():
-                        waiter.set_exception(RuntimeError(str(exc)))
-                self._waiters.clear()
-                continue
-            if responses is None:
-                self._work.clear()
-                continue
-            for response in responses:
-                waiter = self._waiters.pop(response.request_id, None)
-                if waiter is not None and not waiter.done():
-                    waiter.set_result(response)
-
     async def _serve_query(self, body: dict) -> dict:
-        loop = asyncio.get_event_loop()
-        outcome = await loop.run_in_executor(
-            self._pool,
-            lambda: self.service.submit(
-                body.get("algorithm", ""),
-                body.get("params") or {},
-                body.get("version"),
-                body.get("deadline_cycles"),
-            ),
+        outcome = self.service.submit(
+            body.get("algorithm", ""),
+            body.get("params") or {},
+            body.get("version"),
+            body.get("deadline_cycles"),
         )
         if isinstance(outcome, ServeResponse):
             return response_payload(outcome)  # shed at admission
-        waiter: asyncio.Future = loop.create_future()
+        waiter = asyncio.get_running_loop().create_future()
         self._waiters[outcome] = waiter
-        self._work.set()
-        response = await waiter
-        return response_payload(response)
+        # one loop turn: requests already read join this batch
+        await asyncio.sleep(0)
+        if not waiter.done():
+            self._drain()
+        return response_payload(await waiter)
+
+    def _drain(self) -> None:
+        """Dispatch every pending batch and resolve the waiters the
+        responses answer."""
+        waiters = self._waiters
+        try:
+            while (responses := self.service.dispatch_next()) is not None:
+                for response in responses:
+                    waiter = waiters.pop(response.request_id, None)
+                    if waiter is not None and not waiter.done():
+                        waiter.set_result(response)
+        except Exception as exc:  # noqa: BLE001 - surface, don't hang
+            # a batch the service could not serve (e.g. repeated worker
+            # deaths): fail the pending waiters instead of letting their
+            # requests hang; the next drain takes what is still queued
+            for waiter in waiters.values():
+                if not waiter.done():
+                    waiter.set_exception(RuntimeError(str(exc)))
+            waiters.clear()
 
     # ------------------------------------------------------------------
     # HTTP plumbing.
@@ -315,7 +294,6 @@ class ClusterHTTPServer:
     async def _route(
         self, method: str, path: str, body: dict
     ) -> Tuple[str, dict]:
-        loop = asyncio.get_event_loop()
         service = self.service
         try:
             if method == "GET" and path == "/healthz":
@@ -325,19 +303,14 @@ class ClusterHTTPServer:
                     "transport": service.transport,
                 }
             if method == "GET" and path == "/readyz":
-                alive = await loop.run_in_executor(
-                    self._pool, service.workers_alive
-                )
+                alive = service.workers_alive()
                 ready = all(alive.values())
                 return (
                     "200 OK" if ready else "503 Service Unavailable",
                     {"ready": ready, "workers": alive},
                 )
             if method == "GET" and path == "/metrics":
-                snapshot = await loop.run_in_executor(
-                    self._pool, service.metrics_snapshot
-                )
-                return "200 OK", {"metrics": snapshot}
+                return "200 OK", {"metrics": service.metrics_snapshot()}
             if method == "POST" and path == "/query":
                 if not body.get("algorithm"):
                     return "400 Bad Request", {
@@ -346,18 +319,14 @@ class ClusterHTTPServer:
                 return "200 OK", await self._serve_query(body)
             if method == "POST" and path == "/update":
                 delta = GraphDelta.from_dict(body)
-                version = await loop.run_in_executor(
-                    self._pool, service.apply_update, delta
-                )
+                version = service.apply_update(delta)
                 return "200 OK", {
                     "version": version.version,
                     "delta": delta.describe(),
                 }
             if method == "POST" and path == "/compact":
                 keep_last = int(body.get("keep_last", 8))
-                pruned = await loop.run_in_executor(
-                    self._pool, service.compact, keep_last
-                )
+                pruned = service.compact(keep_last)
                 return "200 OK", {
                     "pruned": pruned,
                     "first_version": service.store.first_version,

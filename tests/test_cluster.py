@@ -13,6 +13,7 @@ builder.
 import asyncio
 import gc
 import json
+import select
 import socket
 import threading
 import urllib.error
@@ -532,6 +533,20 @@ def _post(path, body, length=None):
     ).encode() + body
 
 
+def _fail_first_dispatch(monkeypatch, service, error):
+    """Make the service's next ``dispatch_next`` call raise ``error``."""
+    dispatch_next = service.dispatch_next
+    failed = []
+
+    def fail_once():
+        if not failed:
+            failed.append(error)
+            raise error
+        return dispatch_next()
+
+    monkeypatch.setattr(service, "dispatch_next", fail_once)
+
+
 class TestHTTPFrontDoor:
     @pytest.fixture()
     def served(self, tmp_path):
@@ -669,3 +684,124 @@ class TestHTTPFrontDoor:
         # one engine run; the rest coalesced into the batch or hit cache
         assert runs == 1.0
         assert runs + hits <= 4.0
+
+    def test_dispatch_failure_is_a_500_and_the_connection_recovers(
+        self, served, monkeypatch
+    ):
+        _fail_first_dispatch(
+            monkeypatch,
+            served.service,
+            RuntimeError("worker slot w0 died 3 times in a row"),
+        )
+        sock, stream = served.raw()
+        with sock, stream:
+            query = json.dumps({"algorithm": "wcc"}).encode()
+            sock.sendall(_post("/query", query))
+            status, headers, payload = _read_response(stream)
+            assert status == 500 and "died 3 times" in payload["error"]
+            assert headers["connection"] == "keep-alive"
+            sock.sendall(_post("/query", query))
+            status, _, answer = _read_response(stream)
+            assert status == 200 and answer["status"] == "ok"
+        assert served.server._waiters == {}
+
+    def test_interleaved_connections_stay_in_request_order(
+        self, served, monkeypatch
+    ):
+        def query(source):
+            body = {"algorithm": "sssp", "params": {"source": source}}
+            return _post("/query", json.dumps(body).encode())
+
+        def expect(stream, *wanted):
+            """Each response in order: 200 and a payload holding ``fields``."""
+            for fields in wanted:
+                status, _, payload = _read_response(stream)
+                assert status == 200
+                assert {k: payload.get(k) for k in fields} == fields
+
+        def answer(source, version=0, cache_hit=True):
+            label = f"sssp(source={source})@v{version}"
+            return {"query": label, "cache_hit": cache_hit}
+
+        health = {"status": "ok"}
+
+        a_sock, a = served.raw()
+        b_sock, b = served.raw()
+        with a_sock, a, b_sock, b:
+            a_sock.sendall(query(0))
+            expect(a, answer(0, cache_hit=False))
+
+            # hold the loop inside the next batch (the miss) while both
+            # connections queue requests behind it
+            entered, release = threading.Event(), threading.Event()
+            dispatch_next = served.service.dispatch_next
+
+            def held():
+                if not entered.is_set():
+                    entered.set()
+                    release.wait(timeout=30)
+                return dispatch_next()
+
+            monkeypatch.setattr(served.service, "dispatch_next", held)
+            try:
+                a_sock.sendall(query(1) + query(0) + _HEALTHZ)
+                assert entered.wait(timeout=30)
+                b_sock.sendall(
+                    query(0)
+                    + _post("/update", b'{"add_edges": [[3, 0]]}')
+                    + _HEALTHZ
+                    + query(0)
+                )
+                readable, _, _ = select.select([a_sock, b_sock], [], [], 0.3)
+                assert readable == []  # nothing answered during the batch
+            finally:
+                release.set()
+            expect(a, answer(1, cache_hit=False), answer(0), health)
+            updated = answer(0, version=1, cache_hit=False)
+            expect(b, answer(0), {"version": 1}, health, updated)
+        assert served.server._waiters == {}
+
+
+class TestInlineDispatch:
+    def test_one_loop_turn_coalesces_identical_queries(self, tmp_path):
+        # no sockets and no timing: both handlers are admitted before
+        # either drains, so the uncached query runs once as a batch of 2
+        with make_cluster(tmp_path, cache_capacity=0) as service:
+            server = ClusterHTTPServer(service, port=0)
+            body = {"algorithm": "wcc", "params": {}}
+
+            async def both():
+                return await asyncio.gather(
+                    server._serve_query(body), server._serve_query(body)
+                )
+
+            answers = asyncio.run(both())
+            assert [a["status"] for a in answers] == ["ok", "ok"]
+            assert not any(a["cache_hit"] for a in answers)
+            metrics = service.metrics_snapshot()
+            assert metrics["obs.serve.engine_runs"] == 1.0
+            assert metrics["obs.cluster.dispatched"] == 1.0
+            assert metrics["obs.cluster.batch_size.count"] == 1.0
+            assert metrics["obs.cluster.batch_size.max"] == 2.0
+            assert server._waiters == {}
+
+    def test_failed_drain_fails_every_waiter_of_its_turn(
+        self, tmp_path, monkeypatch
+    ):
+        with make_cluster(tmp_path) as service:
+            server = ClusterHTTPServer(service, port=0)
+            _fail_first_dispatch(monkeypatch, service, KeyError("lost batch"))
+
+            async def turn(*bodies):
+                return await asyncio.gather(
+                    *map(server._serve_query, bodies), return_exceptions=True
+                )
+
+            failed = asyncio.run(
+                turn({"algorithm": "wcc"}, {"algorithm": "bfs"})
+            )
+            assert [type(e) for e in failed] == [RuntimeError, RuntimeError]
+            assert "lost batch" in str(failed[1])
+            assert server._waiters == {}
+            (answer,) = asyncio.run(turn({"algorithm": "wcc"}))
+            assert answer["status"] == "ok"

@@ -153,6 +153,14 @@ class TestReorderSection:
         assert run_gate("reorder", bad, REPO_ROOT / "benchmarks" / "baselines.json") == 1
         assert "no (dataset, system) pair" in capsys.readouterr().out
 
+    def test_config_mismatch_fails(self, tmp_path, capsys):
+        payload = dict(reorder_payload(), scale=0.1)
+        bad = write(tmp_path, "bad.json", payload)
+        assert run_gate("reorder", bad, REPO_ROOT / "benchmarks" / "baselines.json") == 1
+        out = capsys.readouterr().out
+        assert "does not match baseline config" in out
+        assert "scale: baseline 0.3 != sweep 0.1" in out
+
 
 # ----------------------------------------------------------------------
 # Cluster: target speedup and deterministic replay.
@@ -195,6 +203,11 @@ class TestClusterSection:
 # ----------------------------------------------------------------------
 # serve-smoke: a flat payload of required flags.
 # ----------------------------------------------------------------------
+#: the CI replay's config (``serve-bench --dataset AZ --scale 0.1 --slots 8
+#: --cores 4 --seed 0``), the section's recorded identity
+SERVE_CONFIG = {"dataset": "AZ", "scale": 0.1, "seed": 0, "cores": 4, "slots": 8}
+
+
 def serve_payload(reorder="degree", **metrics):
     counts = {
         "serve.cache_hits": 3.0,
@@ -203,7 +216,7 @@ def serve_payload(reorder="degree", **metrics):
         "serve.warm_runs": 4.0,
     }
     counts.update(metrics)
-    return {"reorder": reorder, "metrics": counts}
+    return dict(SERVE_CONFIG, reorder=reorder, metrics=counts)
 
 
 class TestServeSmokeSection:
@@ -223,6 +236,14 @@ class TestServeSmokeSection:
     def test_healthy_replay_passes(self, tmp_path):
         good = write(tmp_path, "good.json", serve_payload())
         assert run_gate("serve-smoke", good, REPO_ROOT / "benchmarks" / "baselines.json") == 0
+
+    def test_config_mismatch_fails(self, tmp_path, capsys):
+        payload = dict(serve_payload(), slots=30)
+        bad = write(tmp_path, "bad.json", payload)
+        assert run_gate("serve-smoke", bad, REPO_ROOT / "benchmarks" / "baselines.json") == 1
+        out = capsys.readouterr().out
+        assert "does not match baseline config" in out
+        assert "slots: baseline 8 != sweep 30" in out
 
 
 def test_step_summary_table_written(tmp_path, monkeypatch):
